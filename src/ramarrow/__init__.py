@@ -27,12 +27,6 @@ from .graphs import (
 )
 from .coloring import RED, BLUE, UNASSIGNED, Coloring, monochromatic_subgraph, colored_degree
 from .containment import (
-    Clique,
-    StarT,
-    PathT,
-    MatchingT,
-    BookT,
-    FanT,
     Generic,
     TargetKind,
     target_from_spec,
@@ -41,6 +35,7 @@ from .containment import (
     max_matching_size,
     max_clique_size,
 )
+from .containment import Clique, StarT, PathT, MatchingT, BookT, FanT  # aliases of graph leaves
 from .arrowing import (
     ArrowingResult,
     SearchStats,
@@ -67,6 +62,7 @@ from .formulas import (
     path_critical_upper_bound,
     known_ramsey,
     closed_form_path_critical,
+    compare_with_catalog,
 )
 from .constructions import (
     WitnessReport,

@@ -20,19 +20,13 @@ from itertools import combinations
 from . import formulas
 from .coloring import BLUE, RED, Coloring, monochromatic_subgraph
 from .containment import (
-    BookT,
-    Clique,
-    FanT,
-    MatchingT,
-    PathT,
-    StarT,
     TargetKind,
     _embeddings,
     contains_target,
     target_label,
     target_to_spec,
 )
-from .graphs import Complete, Graph, Matching, Minus, Path, realize
+from .graphs import Book, Complete, Fan, Graph, Matching, Minus, Path, Star, realize
 
 DEFAULT_COPY_CAP = 2_000_000
 
@@ -242,17 +236,17 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
         if len(seen) > cap:
             raise CopyCapError(f"more than {cap} target copies in the host")
 
-    if isinstance(target, Clique):
-        _clique_copies(host, target.m, emit)
-    elif isinstance(target, StarT):
+    if isinstance(target, Complete):
+        _clique_copies(host, target.n, emit)
+    elif isinstance(target, Star):
         _star_copies(host, target.n, emit)
-    elif isinstance(target, PathT):
+    elif isinstance(target, Path):
         _path_copies(host, target.n, emit)
-    elif isinstance(target, MatchingT):
+    elif isinstance(target, Matching):
         _matching_copies(host, target.m, emit)
-    elif isinstance(target, BookT):
+    elif isinstance(target, Book):
         _book_copies(host, target.m, emit)
-    elif isinstance(target, FanT):
+    elif isinstance(target, Fan):
         _fan_copies(host, target.n, emit)
     else:
         ei = host.edge_index
@@ -573,19 +567,16 @@ def ramsey_number(
     """Smallest r <= max_r with K_r -> (red, blue), by ascending search.
 
     The scan starts from the Burr lower bound when its hypotheses apply.
-    If the pair is cataloged, a disagreement between search and catalog is
-    a hard error.
+    The result is the search value alone; formulas.compare_with_catalog
+    checks it against the catalog.
     """
     if max_r > 64:
         raise ValueError("max_r is capped at 64")
-    red_spec = target_to_spec(red)
-    blue_spec = target_to_spec(blue)
     start = 2
     try:
-        start = max(start, formulas.burr_bound(red_spec, blue_spec))
+        start = max(start, formulas.burr_bound(target_to_spec(red), target_to_spec(blue)))
     except (formulas.HypothesisError, ValueError):
         pass
-    found = None
     for r in range(start, max_r + 1):
         result = arrows(
             realize(Complete(r)), red, blue,
@@ -594,19 +585,10 @@ def ramsey_number(
         if result.verdict == "indeterminate":
             raise IndeterminateError(f"budget exhausted deciding K_{r}")
         if result.arrows:
-            found = r
-            break
-    if found is None:
-        raise NotFoundWithinBoundError(
-            f"no complete graph up to K_{max_r} arrows ({target_label(red)}, {target_label(blue)})"
-        )
-    cataloged = formulas.known_ramsey(red_spec, blue_spec)
-    if cataloged is not None and cataloged.value != found:
-        raise RuntimeError(
-            f"search found R={found} but catalog entry {cataloged.source} "
-            f"gives {cataloged.value}"
-        )
-    return found
+            return r
+    raise NotFoundWithinBoundError(
+        f"no complete graph up to K_{max_r} arrows ({target_label(red)}, {target_label(blue)})"
+    )
 
 
 def critical_number(

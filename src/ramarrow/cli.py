@@ -22,8 +22,7 @@ from .arrowing import (
     result_to_json,
 )
 from .coloring import RED, monochromatic_subgraph
-from .containment import target_from_spec
-from .formulas import closed_form_path_critical, known_ramsey
+from .formulas import compare_with_catalog
 from .graphs import Graph6Error, SpecError, graph6_encode, parse_spec, realize
 from .verify import SCHEMA_VERSION, check_names, run_verification
 
@@ -54,14 +53,7 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--deterministic",
             action="store_true",
-            help="single-worker canonical-order search; counterexamples are lexicographically least",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker cap (the current engine is single-process; values above 1 are accepted "
-            "and ignored, verdicts do not depend on it)",
+            help="canonical-order search; counterexamples are lexicographically least",
         )
         p.add_argument("--json", action="store_true", help="print the report as JSON")
 
@@ -106,8 +98,8 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
 
 def _cmd_arrows(args) -> int:
     host = realize(parse_spec(args.host))
-    red = target_from_spec(parse_spec(args.red))
-    blue = target_from_spec(parse_spec(args.blue))
+    red = parse_spec(args.red)
+    blue = parse_spec(args.blue)
     if args.dimacs:
         with open(args.dimacs, "w", encoding="utf-8") as fh:
             fh.write(export_dimacs(host, red, blue))
@@ -156,27 +148,20 @@ def _cmd_arrows(args) -> int:
 
 
 def _cmd_numbers(args) -> int:
-    red_spec = parse_spec(args.red)
-    blue_spec = parse_spec(args.blue)
-    red = target_from_spec(red_spec)
-    blue = target_from_spec(blue_spec)
+    red = parse_spec(args.red)
+    blue = parse_spec(args.blue)
     family = DeletionFamily(args.family)
 
     t0 = time.perf_counter()
     r_search = ramsey_number(
         red, blue, max_r=args.max_r, budget=args.budget, deterministic=args.deterministic
     )
-    r_catalog = known_ramsey(red_spec, blue_spec)
     crit_search = critical_number(
         red, blue, family, r_search, budget=args.budget, deterministic=args.deterministic
     )
-    crit_closed = closed_form_path_critical(red_spec, blue_spec) if family is DeletionFamily.PATH else None
-
-    mismatch = None
-    if r_catalog is not None and r_catalog.value != r_search:
-        mismatch = f"Ramsey number: search {r_search} vs catalog {r_catalog.value} ({r_catalog.source})"
-    if crit_closed is not None and crit_closed.value != crit_search:
-        mismatch = f"critical number: search {crit_search} vs closed form {crit_closed.value} ({crit_closed.source})"
+    r_catalog, crit_closed, mismatches = compare_with_catalog(
+        red, blue, r_search, crit_search if family is DeletionFamily.PATH else None
+    )
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -204,7 +189,7 @@ def _cmd_numbers(args) -> int:
                 "index_unit": family.index_unit,
                 "provenance": "search+catalog" if crit_closed else "search",
             },
-            "consistent": mismatch is None,
+            "consistent": not mismatches,
         },
         "provenance": "search",
         "stats": {"runtime_ms": round((time.perf_counter() - t0) * 1000.0, 1)},
@@ -219,10 +204,9 @@ def _cmd_numbers(args) -> int:
             else "  [search only]"
         ),
     ]
-    if mismatch:
-        lines.append(f"PROVENANCE MISMATCH: {mismatch}")
+    lines += [f"PROVENANCE MISMATCH: {mismatch}" for mismatch in mismatches]
     _emit(report, args.json, lines)
-    return EXIT_PASS if mismatch is None else EXIT_FAIL
+    return EXIT_FAIL if mismatches else EXIT_PASS
 
 
 def _cmd_verify(args) -> int:
@@ -254,8 +238,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
-            raise _UsageError("--jobs must be at least 1")
         if args.command == "arrows":
             return _cmd_arrows(args)
         if args.command == "numbers":

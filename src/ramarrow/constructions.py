@@ -12,8 +12,18 @@ from dataclasses import dataclass
 from . import formulas
 from .arrowing import _search_free_colorings
 from .coloring import BLUE, RED, Coloring, monochromatic_subgraph
-from .containment import Clique, MatchingT, TargetKind, contains_target, target_from_spec
-from .graphs import Complete, GraphSpec, Graph, Minus, Path, graph6_encode, realize, spec_to_text
+from .containment import TargetKind, contains_target
+from .graphs import (
+    Complete,
+    GraphSpec,
+    Graph,
+    Matching,
+    Minus,
+    Path,
+    graph6_encode,
+    realize,
+    spec_to_text,
+)
 
 
 @dataclass
@@ -56,10 +66,8 @@ def block_coloring_witness(G: GraphSpec, H: GraphSpec, r: int) -> WitnessReport:
     for u, v in host.edges:
         coloring.set(u, v, RED if block[u] == block[v] else BLUE)
 
-    red_target = target_from_spec(G)
-    blue_target = target_from_spec(H)
-    red_free = not contains_target(monochromatic_subgraph(coloring, RED), red_target)
-    blue_free = not contains_target(monochromatic_subgraph(coloring, BLUE), blue_target)
+    red_free = not contains_target(monochromatic_subgraph(coloring, RED), G)
+    blue_free = not contains_target(monochromatic_subgraph(coloring, BLUE), H)
     if not (red_free and blue_free):
         raise RuntimeError(
             f"block coloring witness for ({spec_to_text(G)}, {spec_to_text(H)}, r={r}) "
@@ -95,9 +103,9 @@ def odd_clique_pair(n: int, i: int) -> Coloring:
     for u, v in host.edges:
         same_side = (u < split) == (v < split)
         coloring.set(u, v, RED if same_side else BLUE)
-    if contains_target(monochromatic_subgraph(coloring, RED), MatchingT(n)):
+    if contains_target(monochromatic_subgraph(coloring, RED), Matching(n)):
         raise RuntimeError("odd clique pair has a red perfect matching; construction bug")
-    if contains_target(monochromatic_subgraph(coloring, BLUE), Clique(3)):
+    if contains_target(monochromatic_subgraph(coloring, BLUE), Complete(3)):
         raise RuntimeError("odd clique pair has a blue triangle; construction bug")
     return coloring
 

@@ -1,9 +1,11 @@
 """Non-induced subgraph containment with fast per-family detectors.
 
-Every predicate answers "does the graph contain a copy of the target",
-never induced containment.  Specialized detectors cover the target
-families the searches actually use; Generic falls back to backtracking
-subgraph isomorphism with degree pruning.
+Targets are plain graph expressions.  Every predicate answers "does the
+graph contain a copy of the target", never induced containment.  The leaf
+families the searches actually use (Complete, Star, Path, Matching, Book,
+Fan) have specialized detectors; every other expression, and any target
+wrapped in Generic, falls back to backtracking subgraph isomorphism with
+degree pruning.
 """
 
 from __future__ import annotations
@@ -11,113 +13,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphs
-from .graphs import Graph, GraphSpec, realize
+from .graphs import Book, Complete, Fan, Graph, GraphSpec, Matching, Path, Star, realize
 
-
-def _require_positive(value: int, what: str) -> None:
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Clique:
-    m: int
-
-    def __post_init__(self):
-        _require_positive(self.m, "clique size")
-
-
-@dataclass(frozen=True)
-class StarT:
-    """K_{1,n} target."""
-
-    n: int
-
-    def __post_init__(self):
-        _require_positive(self.n, "star size")
-
-
-@dataclass(frozen=True)
-class PathT:
-    """P_n target (n vertices)."""
-
-    n: int
-
-    def __post_init__(self):
-        _require_positive(self.n, "path size")
-
-
-@dataclass(frozen=True)
-class MatchingT:
-    """mK_2 target."""
-
-    m: int
-
-    def __post_init__(self):
-        _require_positive(self.m, "matching size")
-
-
-@dataclass(frozen=True)
-class BookT:
-    """B_m target."""
-
-    m: int
-
-    def __post_init__(self):
-        _require_positive(self.m, "book size")
-
-
-@dataclass(frozen=True)
-class FanT:
-    """F_n target."""
-
-    n: int
-
-    def __post_init__(self):
-        _require_positive(self.n, "fan size")
+# The target names of the detected leaf families, kept as aliases.
+Clique = Complete
+StarT = Star
+PathT = Path
+MatchingT = Matching
+BookT = Book
+FanT = Fan
 
 
 @dataclass(frozen=True)
 class Generic:
+    """Force the backtracking path, even for a leaf that has a detector."""
+
     spec: GraphSpec
 
 
-TargetKind = Clique | StarT | PathT | MatchingT | BookT | FanT | Generic
+TargetKind = GraphSpec | Generic
+
+_DETECTED = (Complete, Star, Path, Matching, Book, Fan)
 
 
 def target_from_spec(spec: GraphSpec) -> TargetKind:
-    """Map expression leaves to their specialized detectors."""
-    if isinstance(spec, graphs.Complete):
-        return Clique(spec.n)
-    if isinstance(spec, graphs.Star):
-        return StarT(spec.n)
-    if isinstance(spec, graphs.Path):
-        return PathT(spec.n)
-    if isinstance(spec, graphs.Matching):
-        return MatchingT(spec.m)
-    if isinstance(spec, graphs.Book):
-        return BookT(spec.m)
-    if isinstance(spec, graphs.Fan):
-        return FanT(spec.n)
-    return Generic(spec)
+    """A detected leaf as it is; any other expression wrapped in Generic."""
+    return spec if isinstance(spec, _DETECTED) else Generic(spec)
 
 
 def target_to_spec(target: TargetKind) -> GraphSpec:
-    if isinstance(target, Clique):
-        return graphs.Complete(target.m)
-    if isinstance(target, StarT):
-        return graphs.Star(target.n)
-    if isinstance(target, PathT):
-        return graphs.Path(target.n)
-    if isinstance(target, MatchingT):
-        return graphs.Matching(target.m)
-    if isinstance(target, BookT):
-        return graphs.Book(target.m)
-    if isinstance(target, FanT):
-        return graphs.Fan(target.n)
-    if isinstance(target, Generic):
-        return target.spec
-    raise TypeError(f"not a target kind: {target!r}")
+    return target.spec if isinstance(target, Generic) else target
 
 
 def target_label(target: TargetKind) -> str:
@@ -328,18 +253,18 @@ def _subgraph_exists(host: Graph, pattern: Graph) -> bool:
 
 def contains_target(g: Graph, target: TargetKind) -> bool:
     """True iff g has a (not necessarily induced) copy of the target."""
-    if isinstance(target, Clique):
-        return _has_clique(g, target.m)
-    if isinstance(target, StarT):
+    if isinstance(target, Complete):
+        return _has_clique(g, target.n)
+    if isinstance(target, Star):
         return max(row.bit_count() for row in g.adj) >= target.n
-    if isinstance(target, PathT):
+    if isinstance(target, Path):
         return _has_path(g, target.n)
-    if isinstance(target, MatchingT):
+    if isinstance(target, Matching):
         return _has_matching(g, target.m)
-    if isinstance(target, BookT):
+    if isinstance(target, Book):
         adj = g.adj
         return any((adj[u] & adj[v]).bit_count() >= target.m for u, v in g.edges)
-    if isinstance(target, FanT):
+    if isinstance(target, Fan):
         need = target.n
         for v in range(g.order):
             row = g.adj[v]
@@ -349,6 +274,4 @@ def contains_target(g: Graph, target: TargetKind) -> bool:
             if _has_matching(g.induced(hood), need):
                 return True
         return False
-    if isinstance(target, Generic):
-        return _subgraph_exists(g, realize(target.spec))
-    raise TypeError(f"not a target kind: {target!r}")
+    return _subgraph_exists(g, realize(target_to_spec(target)))

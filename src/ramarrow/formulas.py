@@ -178,84 +178,23 @@ def path_critical_upper_bound(G: GraphSpec, H: GraphSpec, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Catalog pattern accessors.  Tiny graphs coincide across families
-# (K2 = P2 = 1K2 = K_{1,1}, K3 = B1 = F1, P3 = K_{1,2}); the accessors
-# recognize those aliases so equivalent spellings hit the same entries.
+# Catalog aliases.  Tiny graphs coincide across families; each row lists the
+# spellings of one graph so that equivalent spellings hit the same entries.
+
+_ALIASES = (
+    (Complete(1), Path(1), Empty(1)),
+    (Complete(2), Path(2), Star(1), Matching(1)),
+    (Complete(3), Book(1), Fan(1)),
+    (Path(3), Star(2)),
+)
 
 
-def _as_clique(spec: GraphSpec) -> int | None:
-    if isinstance(spec, Complete):
-        return spec.n
-    if isinstance(spec, (Path, Empty)) and spec.n == 1:
-        return 1
-    if isinstance(spec, Path) and spec.n == 2:
-        return 2
-    if isinstance(spec, Star) and spec.n == 1:
-        return 2
-    if isinstance(spec, Matching) and spec.m == 1:
-        return 2
-    if isinstance(spec, Book) and spec.m == 1:
-        return 3
-    if isinstance(spec, Fan) and spec.n == 1:
-        return 3
-    return None
-
-
-def _as_star(spec: GraphSpec) -> int | None:
-    if isinstance(spec, Star):
-        return spec.n
-    if isinstance(spec, Path) and spec.n in (2, 3):
-        return spec.n - 1
-    if isinstance(spec, Complete) and spec.n == 2:
-        return 1
-    if isinstance(spec, Matching) and spec.m == 1:
-        return 1
-    return None
-
-
-def _as_path(spec: GraphSpec) -> int | None:
-    if isinstance(spec, Path):
-        return spec.n
-    if isinstance(spec, (Complete, Empty)) and spec.n == 1:
-        return 1
-    if isinstance(spec, Complete) and spec.n == 2:
-        return 2
-    if isinstance(spec, Star) and spec.n in (1, 2):
-        return spec.n + 1
-    if isinstance(spec, Matching) and spec.m == 1:
-        return 2
-    return None
-
-
-def _as_matching(spec: GraphSpec) -> int | None:
-    if isinstance(spec, Matching):
-        return spec.m
-    if isinstance(spec, Complete) and spec.n == 2:
-        return 1
-    if isinstance(spec, Path) and spec.n == 2:
-        return 1
-    if isinstance(spec, Star) and spec.n == 1:
-        return 1
-    return None
-
-
-def _as_book(spec: GraphSpec) -> int | None:
-    if isinstance(spec, Book):
-        return spec.m
-    if isinstance(spec, Complete) and spec.n == 3:
-        return 1
-    if isinstance(spec, Fan) and spec.n == 1:
-        return 1
-    return None
-
-
-def _as_fan(spec: GraphSpec) -> int | None:
-    if isinstance(spec, Fan):
-        return spec.n
-    if isinstance(spec, Complete) and spec.n == 3:
-        return 1
-    if isinstance(spec, Book) and spec.m == 1:
-        return 1
+def _param(spec: GraphSpec, family: type) -> int | None:
+    """k such that family(k) is the same graph as spec, or None."""
+    row = next((row for row in _ALIASES if spec in row), (spec,))
+    for leaf in row:
+        if isinstance(leaf, family):
+            return leaf.n if hasattr(leaf, "n") else leaf.m
     return None
 
 
@@ -264,29 +203,29 @@ def _as_fan(spec: GraphSpec) -> int | None:
 
 
 def _match_known(a: GraphSpec, b: GraphSpec) -> KnownValue | None:
-    ns = _as_star(a)
+    ns = _param(a, Star)
     if ns is not None:
-        m = _as_clique(b)
+        m = _param(b, Complete)
         if m is not None and m >= 2:
             return KnownValue(ns * (m - 1) + 1, "star-clique")
-        nb = _as_star(b)
+        nb = _param(b, Star)
         if nb is not None:
             eps = 1 if ns % 2 == 0 and nb % 2 == 0 else 0
             return KnownValue(ns + nb - eps, "star-star")
-        mb = _as_book(b)
+        mb = _param(b, Book)
         if mb is not None and mb >= 2 and ns >= 3 * mb - 4:
             return KnownValue(2 * ns + 1, "star-book")
-        np_ = _as_path(b)
+        np_ = _param(b, Path)
         if np_ is not None and np_ >= 2 * ns + 1:
             return KnownValue(np_, "star-path")
-    nf = _as_fan(a)
-    if nf is not None and nf >= 2 and _as_clique(b) == 3:
+    nf = _param(a, Fan)
+    if nf is not None and nf >= 2 and _param(b, Complete) == 3:
         return KnownValue(4 * nf + 1, "fan-triangle")
-    nm = _as_matching(a)
-    if nm is not None and nm >= 2 and _as_clique(b) == 3:
+    nm = _param(a, Matching)
+    if nm is not None and nm >= 2 and _param(b, Complete) == 3:
         return KnownValue(2 * nm + 1, "matching-triangle")
-    ma = _as_matching(a)
-    mb = _as_matching(b)
+    ma = _param(a, Matching)
+    mb = _param(b, Matching)
     if ma is not None and mb is not None and mb >= ma >= 1:
         return KnownValue(2 * mb + ma - 1, "matching-matching")
     return None
@@ -311,27 +250,27 @@ def known_ramsey(red: GraphSpec, blue: GraphSpec) -> KnownValue | None:
 
 
 def _match_critical(a: GraphSpec, b: GraphSpec) -> KnownValue | None:
-    ns = _as_star(a)
+    ns = _param(a, Star)
     if ns is not None:
-        m = _as_clique(b)
+        m = _param(b, Complete)
         if m is not None and m >= 2 and ns >= 2:
             return KnownValue(ns, "path-critical star-clique")
-        nb = _as_star(b)
+        nb = _param(b, Star)
         if nb is not None and ns + nb >= 3:
             if ns % 2 == 0 and nb % 2 == 0:
                 return KnownValue(0, "path-critical star-star")
             return KnownValue(ns + nb - 1, "path-critical star-star")
-        mb = _as_book(b)
+        mb = _param(b, Book)
         if mb is not None and mb >= 2 and ns >= 3 * mb + 2:
             return KnownValue(ns, "path-critical star-book")
-        np_ = _as_path(b)
+        np_ = _param(b, Path)
         if np_ is not None and np_ >= 2 * ns + 3:
             return KnownValue(np_, "path-critical star-path")
-    nf = _as_fan(a)
-    if nf is not None and nf >= 2 and _as_clique(b) == 3:
+    nf = _param(a, Fan)
+    if nf is not None and nf >= 2 and _param(b, Complete) == 3:
         return KnownValue(2 * nf, "path-critical fan-triangle")
-    ma = _as_matching(a)
-    mb = _as_matching(b)
+    ma = _param(a, Matching)
+    mb = _param(b, Matching)
     if ma is not None and mb is not None and mb >= ma >= 1 and mb >= 2:
         return KnownValue(2 * mb + ma - 1, "path-critical matching-matching")
     return None
@@ -344,3 +283,25 @@ def closed_form_path_critical(red: GraphSpec, blue: GraphSpec) -> KnownValue | N
         if value is not None:
             return value
     return None
+
+
+def compare_with_catalog(
+    red: GraphSpec, blue: GraphSpec, ramsey: int, critical: int | None = None
+) -> tuple[KnownValue | None, KnownValue | None, list[str]]:
+    """Search values against the catalog: (entry, closed form, mismatches).
+
+    The closed form is looked up only when a path-critical value is given.
+    A value the catalog lacks is not a mismatch.
+    """
+    entry = known_ramsey(red, blue)
+    closed = None if critical is None else closed_form_path_critical(red, blue)
+    mismatches = []
+    if entry is not None and entry.value != ramsey:
+        mismatches.append(
+            f"Ramsey number: search {ramsey} vs catalog {entry.value} ({entry.source})"
+        )
+    if closed is not None and closed.value != critical:
+        mismatches.append(
+            f"critical number: search {critical} vs closed form {closed.value} ({closed.source})"
+        )
+    return entry, closed, mismatches

@@ -28,23 +28,13 @@ from .constructions import (
     enumerate_free_colorings,
     odd_clique_pair,
 )
-from .containment import (
-    BookT,
-    Clique,
-    FanT,
-    Generic,
-    MatchingT,
-    PathT,
-    StarT,
-    contains_target,
-    target_from_spec,
-    target_to_spec,
-)
-from .formulas import burr_bound, closed_form_path_critical, known_ramsey
+from .containment import Generic, contains_target
+from .formulas import burr_bound, closed_form_path_critical, compare_with_catalog, known_ramsey
 from .graphs import (
     Book,
     Complete,
     Fan,
+    Graph,
     Matching,
     Minus,
     Path,
@@ -79,72 +69,50 @@ class CheckResult:
 # Individual checks.  Each returns (status, detail).
 
 
-def _check_matching_matching(budget):
-    details = []
-    for m, n in [(1, 2), (2, 2), (2, 3), (3, 3)]:
-        want = 2 * n + m - 1
-        r = ramsey_number(MatchingT(m), MatchingT(n), max_r=want + 2, budget=budget)
-        if r != want:
-            return "fail", f"R({m}K2,{n}K2) search gave {r}, expected {want}"
-        crit = critical_number(MatchingT(m), MatchingT(n), DeletionFamily.PATH, r, budget=budget)
-        if crit != want:
-            return "fail", f"path-critical({m}K2,{n}K2) search gave {crit}, expected {want}"
-        closed = closed_form_path_critical(Matching(m), Matching(n))
-        if closed is None or closed.value != crit:
-            return "fail", f"closed form mismatch for ({m}K2,{n}K2): {closed}"
-        details.append(f"(m={m},n={n}): R={r}, crit={crit}")
-    return "pass", "; ".join(details)
+# Pair checks: search R(G,H) and the path-critical number, compare each with
+# its expected value, then with the catalog.  A row is (G, H, R, critical);
+# the check's template formats the detail of each passing row.
+_PAIR_CHECKS = {
+    "matching-matching-pipeline": (
+        "(m={red.m},n={blue.m}): R={r}, crit={crit}",
+        [(Matching(m), Matching(n), 2 * n + m - 1, 2 * n + m - 1)
+         for m, n in [(1, 2), (2, 2), (2, 3), (3, 3)]],
+    ),
+    "star-clique-critical": (
+        "n={red.n}: R={r}, crit={crit}",
+        [(Star(2), Complete(3), 5, 2), (Star(3), Complete(3), 7, 3)],
+    ),
+    "star-star-critical": (
+        "(m={red.n},n={blue.n}): R={r}, crit={crit}",
+        [(Star(2), Star(2), 3, 0), (Star(2), Star(3), 5, 4), (Star(3), Star(3), 6, 5)],
+    ),
+    "star-path-critical": (
+        "R={r} (catalog {entry.source} + search), crit={crit}, host colorings searched",
+        [(Star(2), Path(7), 7, 7)],
+    ),
+}
 
 
-def _check_star_clique(budget):
-    details = []
-    for n, want_r in [(2, 5), (3, 7)]:
-        r = ramsey_number(StarT(n), Clique(3), max_r=want_r + 2, budget=budget)
-        if r != want_r:
-            return "fail", f"R(K1{n},K3) search gave {r}, expected {want_r}"
-        crit = critical_number(StarT(n), Clique(3), DeletionFamily.PATH, r, budget=budget)
-        if crit != n:
-            return "fail", f"path-critical(K1{n},K3) gave {crit}, expected {n}"
-        closed = closed_form_path_critical(Star(n), Complete(3))
-        if closed is None or closed.value != crit:
-            return "fail", f"closed form mismatch for (K1{n},K3): {closed}"
-        details.append(f"n={n}: R={r}, crit={crit}")
-    return "pass", "; ".join(details)
+def _pair_check(template, rows):
+    def check(budget):
+        details = []
+        for red, blue, want_r, want_c in rows:
+            pair = f"({spec_to_text(red)},{spec_to_text(blue)})"
+            r = ramsey_number(red, blue, max_r=want_r + 2, budget=budget)
+            if r != want_r:
+                return "fail", f"R{pair} search gave {r}, expected {want_r}"
+            crit = critical_number(red, blue, DeletionFamily.PATH, r, budget=budget)
+            if crit != want_c:
+                return "fail", f"path-critical{pair} gave {crit}, expected {want_c}"
+            entry, closed, mismatches = compare_with_catalog(red, blue, r, crit)
+            if entry is None or closed is None:
+                return "fail", f"{pair} missing from the catalog"
+            if mismatches:
+                return "fail", f"{pair}: " + "; ".join(mismatches)
+            details.append(template.format(red=red, blue=blue, r=r, crit=crit, entry=entry))
+        return "pass", "; ".join(details)
 
-
-def _check_star_star(budget):
-    details = []
-    for m, n, want_r, want_c in [(2, 2, 3, 0), (2, 3, 5, 4), (3, 3, 6, 5)]:
-        r = ramsey_number(StarT(m), StarT(n), max_r=want_r + 2, budget=budget)
-        if r != want_r:
-            return "fail", f"R(K1{m},K1{n}) search gave {r}, expected {want_r}"
-        known = known_ramsey(Star(m), Star(n))
-        if known is None or known.value != r:
-            return "fail", f"catalog mismatch for stars ({m},{n}): {known}"
-        crit = critical_number(StarT(m), StarT(n), DeletionFamily.PATH, r, budget=budget)
-        if crit != want_c:
-            return "fail", f"path-critical(K1{m},K1{n}) gave {crit}, expected {want_c}"
-        closed = closed_form_path_critical(Star(m), Star(n))
-        if closed is None or closed.value != crit:
-            return "fail", f"closed form mismatch for stars ({m},{n}): {closed}"
-        details.append(f"(m={m},n={n}): R={r}, crit={crit}")
-    return "pass", "; ".join(details)
-
-
-def _check_star_path(budget):
-    known = known_ramsey(Star(2), Path(7))
-    if known is None or known.value != 7:
-        return "fail", f"catalog entry for (K12,P7) wrong: {known}"
-    r = ramsey_number(StarT(2), PathT(7), max_r=9, budget=budget)
-    if r != 7:
-        return "fail", f"R(K12,P7) search gave {r}, expected 7"
-    crit = critical_number(StarT(2), PathT(7), DeletionFamily.PATH, r, budget=budget)
-    if crit != 7:
-        return "fail", f"path-critical(K12,P7) gave {crit}, expected 7"
-    closed = closed_form_path_critical(Star(2), Path(7))
-    if closed is None or closed.value != 7:
-        return "fail", f"closed form mismatch: {closed}"
-    return "pass", f"R=7 (catalog {known.source} + search), crit=7, host colorings searched"
+    return check
 
 
 def _check_fan2_triangle(budget):
@@ -152,7 +120,7 @@ def _check_fan2_triangle(budget):
     if not (witness.red_free and witness.blue_free):
         return "fail", "witness on K9\\P5 failed freeness"
     result = arrows(
-        realize(Minus(Complete(9), Path(4))), FanT(2), Clique(3), budget=budget
+        realize(Minus(Complete(9), Path(4))), Fan(2), Complete(3), budget=budget
     )
     if result.verdict == "indeterminate":
         return "indeterminate", f"budget exhausted after {result.stats.nodes} nodes"
@@ -171,7 +139,7 @@ def _check_free_coloring_classes(budget):
     details = []
     for n in (2, 3, 4):
         host = realize(Complete(2 * n))
-        classes = enumerate_free_colorings(host, MatchingT(n), Clique(3))
+        classes = enumerate_free_colorings(host, Matching(n), Complete(3))
         got = {canonical_coloring_key(c) for c in classes}
         expected = {
             canonical_coloring_key(odd_clique_pair(n, i)) for i in range(math.ceil(n / 2))
@@ -210,7 +178,10 @@ def _check_burr_goodness(budget):
     details = []
     for G, H, expect_good in cases:
         bound = burr_bound(G, H)
-        r = ramsey_number(target_from_spec(G), target_from_spec(H), max_r=bound + 4, budget=budget)
+        r = ramsey_number(G, H, max_r=bound + 4, budget=budget)
+        mismatches = compare_with_catalog(G, H, r)[2]
+        if mismatches:
+            return "fail", f"({spec_to_text(G)},{spec_to_text(H)}): " + "; ".join(mismatches)
         if r < bound:
             return "fail", f"({spec_to_text(G)},{spec_to_text(H)}): R={r} below Burr {bound}"
         if expect_good and r != bound:
@@ -224,7 +195,7 @@ def _check_burr_goodness(budget):
 
 _DETECTOR_TARGETS = [
     factory(k)
-    for factory in (Clique, StarT, PathT, MatchingT, BookT, FanT)
+    for factory in (Complete, Star, Path, Matching, Book, Fan)
     for k in (1, 2, 3, 4)
 ]
 
@@ -236,17 +207,17 @@ def detector_generic_disagreements(cases: int, seed: int = 2024) -> int:
         g = oracles.random_graph(rng, rng.randint(4, 9), rng.uniform(0.2, 0.8))
         for target in _DETECTOR_TARGETS:
             fast = contains_target(g, target)
-            slow = contains_target(g, Generic(target_to_spec(target)))
+            slow = contains_target(g, Generic(target))
             if fast != slow:
                 bad += 1
     return bad
 
 
 _RANDOM_TARGET_POOL = [
-    Clique(2), Clique(3), StarT(1), StarT(2), StarT(3),
-    PathT(2), PathT(3), PathT(4), MatchingT(1), MatchingT(2),
-    BookT(1), BookT(2), FanT(1), FanT(2),
-    Generic(parse_spec("K3 u K2")), Generic(parse_spec("K4\\P4")),
+    Complete(2), Complete(3), Star(1), Star(2), Star(3),
+    Path(2), Path(3), Path(4), Matching(1), Matching(2),
+    Book(1), Book(2), Fan(1), Fan(2),
+    parse_spec("K3 u K2"), parse_spec("K4\\P4"),
 ]
 
 
@@ -255,8 +226,6 @@ def _random_host(rng: random.Random, max_edges: int):
     edges = list(g.edges)
     if len(edges) > max_edges:
         rng.shuffle(edges)
-        from .graphs import Graph
-
         g = Graph.from_edges(g.order, edges[:max_edges])
     return g
 
@@ -269,9 +238,7 @@ def arrows_enumeration_disagreements(cases: int, seed: int = 77) -> int:
         red = rng.choice(_RANDOM_TARGET_POOL)
         blue = rng.choice(_RANDOM_TARGET_POOL)
         engine = arrows(host, red, blue).arrows
-        naive = oracles.naive_arrows(
-            host, realize(target_to_spec(red)), realize(target_to_spec(blue))
-        )
+        naive = oracles.naive_arrows(host, realize(red), realize(blue))
         if engine != naive:
             bad += 1
     return bad
@@ -328,7 +295,7 @@ def _check_fan3_triangle(budget):
     if not (witness.red_free and witness.blue_free):
         return "fail", "witness on K13\\P7 failed freeness"
     result = arrows(
-        realize(Minus(Complete(13), Path(6))), FanT(3), Clique(3), budget=budget
+        realize(Minus(Complete(13), Path(6))), Fan(3), Complete(3), budget=budget
     )
     if result.verdict == "indeterminate":
         return "skip", (
@@ -344,10 +311,7 @@ def _check_fan3_triangle(budget):
 
 
 _CHECKS = [
-    ("matching-matching-pipeline", "quick", _check_matching_matching),
-    ("star-clique-critical", "quick", _check_star_clique),
-    ("star-star-critical", "quick", _check_star_star),
-    ("star-path-critical", "quick", _check_star_path),
+    *((name, "quick", _pair_check(*spec)) for name, spec in _PAIR_CHECKS.items()),
     ("fan2-triangle-arrowing", "quick", _check_fan2_triangle),
     ("matching-triangle-free-classes", "quick", _check_free_coloring_classes),
     ("witness-sweep", "quick", _check_witness_sweep),

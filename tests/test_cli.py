@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import ramarrow.containment as containment
+import ramarrow.formulas as formulas
 from ramarrow.cli import main
 from ramarrow.graphs import graph6_decode
 from ramarrow.verify import run_verification
@@ -173,3 +174,24 @@ def test_broken_matching_detector_fails_named_check(capsys, monkeypatch):
     assert code == 1
     named = json.loads(out)["checks"][0]
     assert named["name"] == "containment-detectors" and named["status"] == "fail"
+
+
+def test_catalog_mismatch_is_reported_not_raised(capsys, monkeypatch):
+    # a wrong catalog entry must reach the mismatch report, not escape as a traceback
+    monkeypatch.setattr(
+        formulas, "known_ramsey", lambda red, blue: formulas.KnownValue(99, "wrong")
+    )
+    code, out, _ = run_cli(capsys, "numbers", "--red", "M2", "--blue", "M2", "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["outputs"]["consistent"] is False
+    assert report["outputs"]["ramsey"]["search"] == 5
+    assert report["outputs"]["ramsey"]["catalog"] == 99
+
+    code, out, _ = run_cli(capsys, "numbers", "--red", "M2", "--blue", "M2")
+    assert code == 1
+    assert "PROVENANCE MISMATCH: Ramsey number: search 5 vs catalog 99 (wrong)" in out
+
+    report = run_verification(only={"burr-goodness", "star-clique-critical"})
+    assert [c["status"] for c in report["checks"]] == ["fail", "fail"]
+    assert all("catalog 99" in c["detail"] for c in report["checks"])

@@ -138,6 +138,21 @@ def test_known_ramsey_symmetry_and_aliases():
     assert known_ramsey(Complete(3), Fan(3)).value == 13  # swapped order
     assert known_ramsey(Complete(2), Matching(2)).value == 4  # K2 read as 1K2
     assert known_ramsey(Path(3), Complete(3)).value == 5  # P3 read as K_{1,2}
+    # every spelling of a tiny graph gets the same answers, in either order
+    aliases = [
+        (Complete(1), Path(1), Empty(1)),
+        (Complete(2), Path(2), Star(1), Matching(1)),
+        (Complete(3), Book(1), Fan(1)),
+        (Path(3), Star(2)),
+    ]
+    families = (Complete, Path, Star, Book, Fan, Matching, Empty)
+    partners = [family(k) for family in families for k in range(1, 10)]
+    for lookup in (known_ramsey, closed_form_path_critical):
+        for row in aliases:
+            for partner in partners:
+                first = {lookup(spelling, partner) for spelling in row}
+                second = {lookup(partner, spelling) for spelling in row}
+                assert len(first) == len(second) == 1, (lookup.__name__, row, partner)
 
 
 def test_known_ramsey_outside_validity():
