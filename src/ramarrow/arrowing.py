@@ -5,9 +5,11 @@ numbers, and exports the search space as DIMACS CNF.
 
 The engine enumerates every copy of each target inside the host, turns the
 copies into clauses ("some edge of a red copy must be blue" and vice
-versa), and runs a depth-first search over edge assignments with
-counter-based unit propagation.  Exhausting the space proves arrowing; a
-surviving complete assignment is a verified counterexample coloring.
+versa), and runs an explicit-stack depth-first search over edge
+assignments with unit propagation on edge bitmasks: the search state is
+one red and one blue edge mask, so backtracking restores two ints.
+Exhausting the space proves arrowing; a surviving complete assignment is a
+verified counterexample coloring.
 """
 
 from __future__ import annotations
@@ -276,183 +278,158 @@ def _branch_order(host: Graph, deterministic: bool) -> list[int]:
     return sorted(range(m), key=lambda i: (-(degs[host.edges[i][0]] + degs[host.edges[i][1]]), i))
 
 
-def _clause_search(host, red_copies, blue_copies, *, order, symmetric, budget, on_solution):
-    """DFS with counter-based unit propagation over copy clauses.
+def _dfs(order, state, step, *, skip, red_only_first, budget, on_solution, solution):
+    """Explicit-stack DFS over the edges in `order`, RED branch before BLUE.
 
-    on_solution(assignment) -> bool; True stops the search.  Returns
-    (exhausted: bool, nodes: int); exhausted=False means a solution stopped
-    the search early.  Raises _Budget(nodes) when the node budget runs out.
+    The search state is immutable: step(state, e, c) returns the state with
+    edge e colored c, or None when that coloring is refuted, so
+    backtracking is restoring a saved state.  skip(state, oi) is the first
+    order position from oi whose edge is still uncolored, and
+    solution(state) the complete assignment list.  With red_only_first the
+    decision at order position 0 tries RED alone.  Returns (exhausted,
+    nodes) as the engines do.
+    """
+    m = len(order)
+    nodes = 0
+    stack = []  # (order position, state before it) of decisions whose BLUE branch is open
+    oi = skip(state, 0)
+    while True:
+        if oi == m:
+            if on_solution(solution(state)):
+                return False, nodes
+        else:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise _Budget(nodes)
+            if oi or not red_only_first:
+                stack.append((oi, state))
+            nxt = step(state, order[oi], RED)
+            if nxt is not None:
+                state = nxt
+                oi = skip(state, oi + 1)
+                continue
+        while stack:
+            oi, state = stack.pop()
+            nxt = step(state, order[oi], BLUE)
+            if nxt is not None:
+                state = nxt
+                oi = skip(state, oi + 1)
+                break
+        else:
+            return True, nodes
+
+
+def _clause_search(host, red_copies, blue_copies, *, order, symmetric, budget, on_solution):
+    """DFS with unit propagation over copy clauses held as edge bitmasks.
+
+    The state is the pair (red, blue) of edge masks.  occ[c][e] lists the
+    masks of the copies that forbid color c and contain edge e; coloring e
+    with c visits only those, skipping a copy that already has an edge of
+    the other color, failing on one whose edges all have color c, and
+    queueing the last free edge of a copy with one left for the other
+    color.  on_solution(assignment) -> bool; True stops the search.
+    Returns (exhausted: bool, nodes: int); exhausted=False means a solution
+    stopped the search early.  Raises _Budget(nodes) when the node budget
+    runs out.
     """
     m = host.edge_count
-    cl_edges: list[tuple[int, ...]] = []
-    cl_forbid: list[int] = []
-    for ids in red_copies:
-        cl_edges.append(ids)
-        cl_forbid.append(RED)
-    for ids in blue_copies:
-        cl_edges.append(ids)
-        cl_forbid.append(BLUE)
-    ncl = len(cl_edges)
-    cl_len = [len(ids) for ids in cl_edges]
-    occ: list[list[list[int]]] = [[[] for _ in range(m)], [[] for _ in range(m)]]
-    for ci in range(ncl):
-        for e in cl_edges[ci]:
-            occ[cl_forbid[ci]][e].append(ci)
-    occ_red = [tuple(lst) for lst in occ[RED]]
-    occ_blue = [tuple(lst) for lst in occ[BLUE]]
+    bit = [1 << e for e in range(m)]
+    full = (1 << m) - 1
+    occ = ([[] for _ in range(m)], [[] for _ in range(m)])
+    for forbid, copies in ((RED, red_copies), (BLUE, blue_copies)):
+        lists = occ[forbid]
+        for ids in copies:
+            if not ids:
+                return True, 0  # an edgeless copy is violated by every coloring
+            mask = 0
+            for e in ids:
+                mask |= bit[e]
+            for e in ids:
+                lists[e].append(mask)
 
-    cnt = [0] * ncl
-    sat = [0] * ncl
-    assign = [-1] * m
-    trail: list[int] = []
-    nodes = 0
-
-    def propagate(e0: int, c0: int) -> bool:
-        queue = [(e0, c0)]
-        qi = 0
-        while qi < len(queue):
-            e, c = queue[qi]
-            qi += 1
-            a = assign[e]
-            if a != -1:
-                if a != c:
-                    return False
+    def step(state, e, c):
+        masks = list(state)
+        queue = [(e, c)]
+        while queue:
+            e, c = queue.pop()
+            b = bit[e]
+            if masks[c] & b:
                 continue
-            assign[e] = c
-            trail.append(e)
-            if c == RED:
-                bump, ease = occ_red[e], occ_blue[e]
-            else:
-                bump, ease = occ_blue[e], occ_red[e]
-            for ci in ease:
-                sat[ci] += 1
-            # finish every counter update before reporting a conflict so
-            # that undo_to can reverse assignments uniformly
-            conflict = False
-            units = None
-            for ci in bump:
-                k = cnt[ci] + 1
-                cnt[ci] = k
-                length = cl_len[ci]
-                if k == length:
-                    conflict = True
-                elif k == length - 1 and sat[ci] == 0:
-                    if units is None:
-                        units = [ci]
-                    else:
-                        units.append(ci)
-            if conflict:
-                return False
-            if units:
-                for ci in units:
-                    if sat[ci]:
-                        continue
-                    for f in cl_edges[ci]:
-                        if assign[f] == -1:
-                            queue.append((f, 1 - cl_forbid[ci]))
-                            break
-        return True
+            flip = 1 - c
+            other = masks[flip]
+            if other & b:
+                return None
+            same = masks[c] = masks[c] | b
+            free = full ^ same
+            for mask in occ[c][e]:
+                if not mask & other:
+                    rem = mask & free
+                    if not rem & (rem - 1):
+                        if not rem:
+                            return None
+                        queue.append((rem.bit_length() - 1, flip))
+        return tuple(masks)
 
-    def undo_to(mark: int) -> None:
-        while len(trail) > mark:
-            e = trail.pop()
-            c = assign[e]
-            assign[e] = -1
-            if c == RED:
-                bump, ease = occ_red[e], occ_blue[e]
-            else:
-                bump, ease = occ_blue[e], occ_red[e]
-            for ci in ease:
-                sat[ci] -= 1
-            for ci in bump:
-                cnt[ci] -= 1
+    def skip(state, oi):
+        assigned = state[0] | state[1]
+        while oi < m and assigned & bit[order[oi]]:
+            oi += 1
+        return oi
 
-    # clauses that are violated or unit before any decision
-    for ci in range(ncl):
-        if cl_len[ci] == 0:
-            return True, 0
-    for ci in range(ncl):
-        if cl_len[ci] == 1 and sat[ci] == 0:
-            e = cl_edges[ci][0]
-            if not propagate(e, 1 - cl_forbid[ci]):
-                return True, 0
+    def solution(state):
+        red = state[0]
+        return [RED if red & b else BLUE for b in bit]
+
+    # one-edge copies fix their edge before any decision
+    state = (0, 0)
+    for forbid, copies in ((RED, red_copies), (BLUE, blue_copies)):
+        for ids in copies:
+            if len(ids) == 1:
+                state = step(state, ids[0], 1 - forbid)
+                if state is None:
+                    return True, 0
 
     if symmetric:
-        first = next((e for e in order if assign[e] == -1), None)
-        if first is not None and not propagate(first, RED):
-            return True, 0
+        first = skip(state, 0)
+        if first < m:
+            state = step(state, order[first], RED)
+            if state is None:
+                return True, 0
 
-    def descend(start: int) -> bool:
-        nonlocal nodes
-        oi = start
-        while oi < m and assign[order[oi]] != -1:
-            oi += 1
-        if oi == m:
-            return on_solution(list(assign))
-        e = order[oi]
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _Budget(nodes)
-        for c in (RED, BLUE):
-            mark = len(trail)
-            if propagate(e, c):
-                if descend(oi + 1):
-                    return True
-            undo_to(mark)
-        return False
-
-    stopped = descend(0)
-    return (not stopped), nodes
+    return _dfs(
+        order, state, step, skip=skip, red_only_first=False,
+        budget=budget, on_solution=on_solution, solution=solution,
+    )
 
 
 def _prune_only_search(host, red, blue, *, order, symmetric, budget, on_solution):
-    """Fallback DFS pruned by direct containment checks; no propagation."""
-    m = host.edge_count
+    """Fallback DFS pruned by direct containment checks; no propagation.
+
+    The state is the pair of red and blue adjacency-row tuples.
+    """
     n = host.order
     edges = host.edges
-    assign = [-1] * m
-    red_rows = [0] * n
-    blue_rows = [0] * n
-    nodes = 0
+    targets = (red, blue)
 
-    def paint(e: int, c: int, on: bool) -> None:
+    def step(state, e, c):
         u, v = edges[e]
-        rows = red_rows if c == RED else blue_rows
-        if on:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        else:
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
+        rows = list(state[c])
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        rows = tuple(rows)
+        if contains_target(Graph._raw(n, rows), targets[c]):
+            return None
+        return (rows, state[BLUE]) if c == RED else (state[RED], rows)
 
-    def blocked(c: int) -> bool:
-        if c == RED:
-            return contains_target(Graph._raw(n, tuple(red_rows)), red)
-        return contains_target(Graph._raw(n, tuple(blue_rows)), blue)
+    def solution(state):
+        red_rows = state[RED]
+        return [RED if red_rows[u] >> v & 1 else BLUE for u, v in edges]
 
-    def descend(oi: int) -> bool:
-        nonlocal nodes
-        while oi < m and assign[order[oi]] != -1:
-            oi += 1
-        if oi == m:
-            return on_solution(list(assign))
-        e = order[oi]
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _Budget(nodes)
-        colors = (RED,) if (symmetric and oi == 0) else (RED, BLUE)
-        for c in colors:
-            assign[e] = c
-            paint(e, c, True)
-            if not blocked(c):
-                if descend(oi + 1):
-                    return True
-            paint(e, c, False)
-            assign[e] = -1
-        return False
-
-    stopped = descend(0)
-    return (not stopped), nodes
+    empty = (0,) * n
+    return _dfs(
+        order, (empty, empty), step, skip=lambda state, oi: oi, red_only_first=symmetric,
+        budget=budget, on_solution=on_solution, solution=solution,
+    )
 
 
 def _search_free_colorings(

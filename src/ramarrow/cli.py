@@ -12,6 +12,7 @@ import sys
 import time
 
 from .arrowing import (
+    CopyCapError,
     DeletionFamily,
     IndeterminateError,
     NotFoundWithinBoundError,
@@ -101,8 +102,12 @@ def _cmd_arrows(args) -> int:
     red = parse_spec(args.red)
     blue = parse_spec(args.blue)
     if args.dimacs:
+        try:
+            cnf = export_dimacs(host, red, blue)
+        except CopyCapError as exc:
+            raise _UsageError(f"--dimacs: {exc}") from None
         with open(args.dimacs, "w", encoding="utf-8") as fh:
-            fh.write(export_dimacs(host, red, blue))
+            fh.write(cnf)
     result = arrows(
         host, red, blue, budget=args.budget, deterministic=args.deterministic
     )

@@ -15,7 +15,9 @@ from ramarrow.arrowing import (
     ramsey_number,
 )
 from ramarrow.coloring import BLUE, RED, monochromatic_subgraph
+from ramarrow.constructions import all_free_colorings
 from ramarrow.containment import (
+    BookT,
     Clique,
     FanT,
     Generic,
@@ -193,6 +195,56 @@ def test_degenerate_edgeless_targets():
     # too large to embed: unconstrained, so the all-red coloring is free
     result = arrows(host, Generic(parse_spec("E4")), Clique(4))
     assert result.verdict == "counterexample"
+
+
+# --- pinned engine output and deep hosts ---------------------------------------
+
+
+def test_engine_output_is_pinned():
+    # node counts are machine-independent; a change to any of these must say why
+    k9 = realize(Complete(9))
+    k9p4 = realize(Minus(Complete(9), Path(4)))
+    runs = [
+        (arrows(k9, Clique(3), Clique(4)), "clauses", 19563),
+        (arrows(k9p4, FanT(2), Clique(3)), "clauses", 16025),
+        (arrows(k9p4, FanT(2), Clique(3), deterministic=True), "clauses", 9179),
+        (arrows(realize(Complete(8)), BookT(2), Clique(3), copy_cap=0), "prune-only", 66491),
+    ]
+    for result, mode, nodes in runs:
+        assert (result.verdict, result.stats.propagation_mode, result.stats.nodes) == (
+            "arrows", mode, nodes,
+        )
+
+    k5 = arrows(realize(Complete(5)), Clique(3), Clique(3), deterministic=True)
+    assert k5.counterexample.edge_triples() == [
+        [0, 1, "R"], [0, 2, "R"], [0, 3, "B"], [0, 4, "B"], [1, 2, "B"],
+        [1, 3, "R"], [1, 4, "B"], [2, 3, "B"], [2, 4, "R"], [3, 4, "R"],
+    ]
+
+    colorings = all_free_colorings(realize(Complete(6)), Clique(3), Clique(4))
+    assert len(colorings) == 2812
+    assert colorings[0].assignment == [RED, RED, RED, BLUE, BLUE, BLUE, BLUE, RED,
+                                       RED, BLUE, RED, RED, RED, RED, BLUE]
+    assert colorings[-1].assignment == [BLUE, BLUE, BLUE, BLUE, BLUE, BLUE, BLUE, RED,
+                                        RED, RED, BLUE, RED, RED, BLUE, BLUE]
+
+
+@pytest.mark.parametrize(
+    "target, copy_cap, mode, nodes",
+    [(PathT(47), None, "clauses", 1034), (StarT(45), 0, "prune-only", 1037)],
+)
+def test_search_depth_is_not_bounded_by_recursion(target, copy_cap, mode, nodes):
+    # K46 has 1,035 edges, so the DFS is 1,035 decisions deep on its first branch
+    host = realize(Complete(46))
+    kwargs = {} if copy_cap is None else {"copy_cap": copy_cap}
+    result = arrows(host, target, target, **kwargs)
+    assert (result.verdict, result.stats.propagation_mode, result.stats.nodes) == (
+        "counterexample", mode, nodes,
+    )
+    col = result.counterexample
+    assert col.is_complete
+    assert not contains_target(monochromatic_subgraph(col, RED), target)
+    assert not contains_target(monochromatic_subgraph(col, BLUE), target)
 
 
 # --- ramsey_number and critical_number --------------------------------------

@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import ramarrow.arrowing as arrowing
+import ramarrow.cli as cli
 import ramarrow.containment as containment
 import ramarrow.formulas as formulas
 from ramarrow.cli import main
@@ -51,6 +53,32 @@ def test_exit_code_usage(capsys):
     assert code == 3 and "no-such-check" in err
     code, _, err = run_cli(capsys, "nonsense")
     assert code == 3
+
+
+def test_exit_code_dimacs_past_copy_cap(tmp_path, capsys, monkeypatch):
+    # the real export at a small cap stands in for K30 -> (K10, K10) at the default cap
+    monkeypatch.setattr(
+        cli, "export_dimacs",
+        lambda host, red, blue: arrowing.export_dimacs(host, red, blue, copy_cap=5),
+    )
+    cnf = tmp_path / "x.cnf"
+    code, out, err = run_cli(
+        capsys, "arrows", "--host", "K6", "--red", "K3", "--blue", "K3", "--dimacs", str(cnf)
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "usage error: --dimacs: more than 5 target copies in the host\n"
+    assert not cnf.exists()
+
+
+def test_arrows_deep_host_counterexample(capsys):
+    # 1,035 edges of search depth, past Python's default recursion limit
+    code, out, _ = run_cli(capsys, "arrows", "--host", "K46", "--red", "P47", "--blue", "P47")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "K46 -> (P47, P47): counterexample"
+    assert lines[1].startswith("counterexample: [[0, 1, 'R'], ")
+    assert lines[2].startswith("nodes=1034 mode=clauses ")
 
 
 # --- reports --------------------------------------------------------------------
