@@ -3,11 +3,11 @@
 Decides host -> (red, blue), computes Ramsey numbers and deletion-critical
 numbers, and exports the search space as DIMACS CNF.
 
-The engine enumerates every copy of each target inside the host, turns the
-copies into clauses ("some edge of a red copy must be blue" and vice
-versa), and runs an explicit-stack depth-first search over edge
-assignments with unit propagation on edge bitmasks: the search state is
-one red and one blue edge mask, so backtracking restores two ints.
+The engine enumerates every copy of each target inside the host as an edge
+bitmask, turns the copies into clauses ("some edge of a red copy must be
+blue" and vice versa), and runs an explicit-stack depth-first search over
+edge assignments with unit propagation on those bitmasks: the search state
+is one red and one blue edge mask, so backtracking restores two ints.
 Exhausting the space proves arrowing; a surviving complete assignment is a
 verified counterexample coloring.
 """
@@ -96,169 +96,166 @@ class DeletionFamily(Enum):
 
 # ---------------------------------------------------------------------------
 # Copy enumeration
+#
+# A copy is an int edge mask: bit i is set when host edge i (canonical
+# order) is in the copy.  bits[u][v] is the mask of edge uv, 0 for a
+# non-edge, so each enumerator ORs a copy together as its DFS goes.
 
 
-def _star_copies(host: Graph, n: int, emit) -> None:
-    ei = host.edge_index
-    for center in range(host.order):
-        nbrs = [u for u in range(host.order) if host.adj[center] >> u & 1]
-        if len(nbrs) < n:
-            continue
-        for leaves in combinations(nbrs, n):
-            emit(tuple(sorted(ei[(center, u) if center < u else (u, center)] for u in leaves)))
+def _pair_bits(host: Graph) -> list[list[int]]:
+    n = host.order
+    bits = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(host.edges):
+        bits[u][v] = bits[v][u] = 1 << i
+    return bits
 
 
-def _clique_copies(host: Graph, m: int, emit) -> None:
-    ei = host.edge_index
+def _star_copies(bits, n: int, emit) -> None:
+    for spokes in bits:
+        leaves = [b for b in spokes if b]
+        if len(leaves) >= n:
+            for chosen in combinations(leaves, n):
+                emit(sum(chosen))
+
+
+def _clique_copies(host: Graph, bits, m: int, emit) -> None:
     adj = host.adj
 
-    def grow(chosen: list[int], cand: int) -> None:
-        if len(chosen) == m:
-            emit(tuple(sorted(ei[(u, v)] for u, v in combinations(chosen, 2))))
-            return
+    def grow(chosen: list[int], mask: int, cand: int) -> None:
+        last = len(chosen) + 1 == m
         while cand:
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            grow(chosen + [v], adj[v] & cand)
+            row = bits[v]
+            grown = mask
+            for u in chosen:
+                grown |= row[u]
+            if last:
+                emit(grown)
+            else:
+                grow(chosen + [v], grown, adj[v] & cand)
 
-    grow([], (1 << host.order) - 1)
+    grow([], 0, (1 << host.order) - 1)
 
 
-def _path_copies(host: Graph, n: int, emit) -> None:
-    ei = host.edge_index
+def _path_copies(host: Graph, bits, n: int, emit) -> None:
     adj = host.adj
-    path: list[int] = []
 
-    def extend(v: int, visited: int) -> None:
-        path.append(v)
-        if len(path) == n:
-            if path[0] < path[-1]:
-                emit(
-                    tuple(
-                        sorted(
-                            ei[(a, b) if a < b else (b, a)]
-                            for a, b in zip(path, path[1:])
-                        )
-                    )
-                )
-        else:
-            ext = adj[v] & ~visited
+    def extend(v: int, visited: int, mask: int, left: int, above: int) -> None:
+        row = bits[v]
+        ext = adj[v] & ~visited
+        if left == 1:
+            # a path is emitted from its lower end only
+            ext &= above
             while ext:
                 low = ext & -ext
                 ext ^= low
-                extend(low.bit_length() - 1, visited | low)
-        path.pop()
+                emit(mask | row[low.bit_length() - 1])
+            return
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            w = low.bit_length() - 1
+            extend(w, visited | low, mask | row[w], left - 1, above)
 
     for start in range(host.order):
-        extend(start, 1 << start)
+        extend(start, 1 << start, 0, n - 1, -(2 << start))
 
 
 def _matching_copies(host: Graph, m: int, emit) -> None:
-    edges = host.edges
+    ends = [1 << u | 1 << v for u, v in host.edges]
+    count = len(ends)
 
-    def pick(start: int, used: int, chosen: list[int]) -> None:
-        if len(chosen) == m:
-            emit(tuple(chosen))
-            return
-        for idx in range(start, len(edges)):
-            u, v = edges[idx]
-            bits = 1 << u | 1 << v
-            if used & bits:
+    def pick(start: int, used: int, mask: int, left: int) -> None:
+        for idx in range(start, count):
+            if used & ends[idx]:
                 continue
-            pick(idx + 1, used | bits, chosen + [idx])
+            if left == 1:
+                emit(mask | 1 << idx)
+            else:
+                pick(idx + 1, used | ends[idx], mask | 1 << idx, left - 1)
 
-    pick(0, 0, [])
+    pick(0, 0, 0, m)
 
 
-def _book_copies(host: Graph, m: int, emit) -> None:
-    ei = host.edge_index
+def _book_copies(host: Graph, bits, m: int, emit) -> None:
     adj = host.adj
-    for (u, v) in host.edges:
+    for spine, (u, v) in enumerate(host.edges):
         common = adj[u] & adj[v]
-        pages = [w for w in range(host.order) if common >> w & 1]
-        if len(pages) < m:
+        if common.bit_count() < m:
             continue
-        spine = ei[(u, v)]
+        ru, rv = bits[u], bits[v]
+        pages = [ru[w] | rv[w] for w in range(host.order) if common >> w & 1]
         for chosen in combinations(pages, m):
-            ids = [spine]
-            for w in chosen:
-                ids.append(ei[(u, w) if u < w else (w, u)])
-                ids.append(ei[(v, w) if v < w else (w, v)])
-            emit(tuple(sorted(ids)))
+            emit(sum(chosen, 1 << spine))
 
 
-def _fan_copies(host: Graph, n: int, emit) -> None:
-    ei = host.edge_index
-    adj = host.adj
-    for hub in range(host.order):
-        row = adj[hub]
-        if row.bit_count() < 2 * n:
+def _fan_copies(host: Graph, bits, n: int, emit) -> None:
+    for hub, spokes in enumerate(bits):
+        if host.adj[hub].bit_count() < 2 * n:
             continue
-        hood_edges = [
-            (a, b)
+        # a blade is a triangle on the hub: (its two rim vertices, its three edges)
+        blades = [
+            (1 << a | 1 << b, bits[a][b] | spokes[a] | spokes[b])
             for a, b in host.edges
-            if row >> a & 1 and row >> b & 1
+            if spokes[a] and spokes[b]
         ]
+        count = len(blades)
 
-        def pick(start: int, used: int, chosen: list[tuple[int, int]]) -> None:
-            if len(chosen) == n:
-                ids = []
-                for a, b in chosen:
-                    ids.append(ei[(a, b)])
-                    ids.append(ei[(hub, a) if hub < a else (a, hub)])
-                    ids.append(ei[(hub, b) if hub < b else (b, hub)])
-                emit(tuple(sorted(ids)))
-                return
-            for idx in range(start, len(hood_edges)):
-                a, b = hood_edges[idx]
-                bits = 1 << a | 1 << b
-                if used & bits:
+        def pick(start: int, used: int, mask: int, left: int) -> None:
+            for idx in range(start, count):
+                rim, edges = blades[idx]
+                if used & rim:
                     continue
-                pick(idx + 1, used | bits, chosen + [(a, b)])
+                if left == 1:
+                    emit(mask | edges)
+                else:
+                    pick(idx + 1, used | rim, mask | edges, left - 1)
 
-        pick(0, 0, [])
+        pick(0, 0, 0, n)
 
 
-def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CAP):
-    """All distinct edge-index sets of host subgraphs isomorphic to the target.
+def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CAP) -> list[int]:
+    """All distinct host subgraphs isomorphic to the target, as edge bitmasks.
 
-    Deterministic: the result is sorted.  Raises CopyCapError past the cap.
+    Bit i of a copy is set when host edge i (canonical order) is in it; an
+    edgeless target has the single copy 0.  Deterministic: the result is
+    sorted.  Raises CopyCapError past the cap.
     """
     pattern = realize(target_to_spec(target))
     if pattern.order > host.order:
         return []
     if pattern.edge_count == 0:
         # an edgeless target sits inside every coloring of a large-enough host
-        return [()]
-    seen: set[tuple[int, ...]] = set()
+        return [0]
+    bits = _pair_bits(host)
+    seen: set[int] = set()
 
-    def emit(ids: tuple[int, ...]) -> None:
-        seen.add(ids)
+    def emit(mask: int) -> None:
+        seen.add(mask)
         if len(seen) > cap:
             raise CopyCapError(f"more than {cap} target copies in the host")
 
     if isinstance(target, Complete):
-        _clique_copies(host, target.n, emit)
+        _clique_copies(host, bits, target.n, emit)
     elif isinstance(target, Star):
-        _star_copies(host, target.n, emit)
+        _star_copies(bits, target.n, emit)
     elif isinstance(target, Path):
-        _path_copies(host, target.n, emit)
+        _path_copies(host, bits, target.n, emit)
     elif isinstance(target, Matching):
         _matching_copies(host, target.m, emit)
     elif isinstance(target, Book):
-        _book_copies(host, target.m, emit)
+        _book_copies(host, bits, target.m, emit)
     elif isinstance(target, Fan):
-        _fan_copies(host, target.n, emit)
+        _fan_copies(host, bits, target.n, emit)
     else:
-        ei = host.edge_index
         pedges = pattern.edges
         for emb in _embeddings(host, pattern):
-            ids = []
+            mask = 0
             for a, b in pedges:
-                u, v = emb[a], emb[b]
-                ids.append(ei[(u, v) if u < v else (v, u)])
-            emit(tuple(sorted(ids)))
+                mask |= bits[emb[a]][emb[b]]
+            emit(mask)
     return sorted(seen)
 
 
@@ -338,14 +335,14 @@ def _clause_search(host, red_copies, blue_copies, *, order, symmetric, budget, o
     occ = ([[] for _ in range(m)], [[] for _ in range(m)])
     for forbid, copies in ((RED, red_copies), (BLUE, blue_copies)):
         lists = occ[forbid]
-        for ids in copies:
-            if not ids:
+        for mask in copies:
+            if not mask:
                 return True, 0  # an edgeless copy is violated by every coloring
-            mask = 0
-            for e in ids:
-                mask |= bit[e]
-            for e in ids:
+            rest = mask
+            while rest:
+                e = rest.bit_length() - 1
                 lists[e].append(mask)
+                rest ^= bit[e]
 
     def step(state, e, c):
         masks = list(state)
@@ -383,9 +380,9 @@ def _clause_search(host, red_copies, blue_copies, *, order, symmetric, budget, o
     # one-edge copies fix their edge before any decision
     state = (0, 0)
     for forbid, copies in ((RED, red_copies), (BLUE, blue_copies)):
-        for ids in copies:
-            if len(ids) == 1:
-                state = step(state, ids[0], 1 - forbid)
+        for mask in copies:
+            if not mask & (mask - 1):
+                state = step(state, mask.bit_length() - 1, 1 - forbid)
                 if state is None:
                     return True, 0
 
@@ -654,8 +651,8 @@ def export_dimacs(
     for (u, v), idx in host.edge_index.items():
         lines.append(f"c edge {u} {v} var {idx + 1}")
     lines.append(f"p cnf {host.edge_count} {len(red_copies) + len(blue_copies)}")
-    for ids in red_copies:
-        lines.append(" ".join(str(-(e + 1)) for e in ids) + " 0")
-    for ids in blue_copies:
-        lines.append(" ".join(str(e + 1) for e in ids) + " 0")
+    for sign, copies in ((-1, red_copies), (1, blue_copies)):
+        clauses = sorted([e for e in range(mask.bit_length()) if mask >> e & 1] for mask in copies)
+        for ids in clauses:
+            lines.append(" ".join(str(sign * (e + 1)) for e in ids) + " 0")
     return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
 """Command-line surface: arrowing queries, number computation, verification.
 
 Exit codes are a stable scripting contract: 0 pass/arrows, 1
-counterexample/fail, 2 indeterminate, 3 usage error.
+counterexample/fail, 2 indeterminate, 3 usage error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -260,6 +261,10 @@ def main(argv=None) -> int:
     except NotFoundWithinBoundError as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except Exception as exc:
+        # a fault of ramarrow itself, kept apart from exit 1 (counterexample or failed check)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -45,9 +45,20 @@ def test_copy_counts_against_brute_force():
         host = oracles.random_graph(rng, rng.randint(3, 6), rng.uniform(0.3, 0.9))
         for target in TARGET_POOL:
             copies = enumerate_copies(host, target)
-            masks = {sum(1 << e for e in ids) for ids in copies}
-            brute = set(oracles.brute_copy_masks(host, realize(target_to_spec(target))))
-            assert masks == brute, (host, target)
+            brute = oracles.brute_copy_masks(host, realize(target_to_spec(target)))
+            assert copies == brute, (host, target)
+
+
+def test_specialized_enumerators_against_brute_force():
+    targets = [
+        BookT(1), BookT(2), FanT(1), FanT(2), Clique(4), StarT(4), PathT(5), MatchingT(3),
+    ]
+    rng = random.Random(31)
+    for _ in range(25):
+        host = oracles.random_graph(rng, rng.randint(4, 7), rng.uniform(0.4, 0.95))
+        for target in targets:
+            brute = oracles.brute_copy_masks(host, realize(target_to_spec(target)))
+            assert enumerate_copies(host, target) == brute, (host, target)
 
 
 def test_copy_counts_closed_forms():
@@ -61,8 +72,12 @@ def test_copy_counts_closed_forms():
 
 
 def test_copy_cap():
+    k7 = realize(Complete(7))
     with pytest.raises(CopyCapError):
-        enumerate_copies(realize(Complete(7)), PathT(7), cap=100)
+        enumerate_copies(k7, PathT(7), cap=100)
+    assert len(enumerate_copies(k7, PathT(7), cap=2520)) == 2520
+    with pytest.raises(CopyCapError, match="more than 2519 target copies"):
+        enumerate_copies(k7, PathT(7), cap=2519)
 
 
 # --- arrows ------------------------------------------------------------------
@@ -344,6 +359,41 @@ def test_dimacs_triangle_example():
     assert nvars == 3
     assert sorted(clauses) == [[-1, -2, -3], [1, 2, 3]]
     assert "c edge 0 1 var 1" in text
+
+
+def test_dimacs_text_is_pinned():
+    # clauses are listed in lexicographic order of their ascending edge lists
+    text = export_dimacs(realize(Complete(4)), PathT(3), Clique(3))
+    assert text == """\
+c arrowing CNF: satisfiable iff the host admits a free coloring
+c host: 4 vertices, 6 edges
+c red target P3: 12 copies, clauses all-negative
+c blue target K3: 4 copies, clauses all-positive
+c positive literal = red edge
+c edge 0 1 var 1
+c edge 0 2 var 2
+c edge 0 3 var 3
+c edge 1 2 var 4
+c edge 1 3 var 5
+c edge 2 3 var 6
+p cnf 6 16
+-1 -2 0
+-1 -3 0
+-1 -4 0
+-1 -5 0
+-2 -3 0
+-2 -4 0
+-2 -6 0
+-3 -5 0
+-3 -6 0
+-4 -5 0
+-4 -6 0
+-5 -6 0
+1 2 4 0
+1 3 5 0
+2 3 6 0
+4 5 6 0
+"""
 
 
 def test_dimacs_matching_example():

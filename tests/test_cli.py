@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import ramarrow.arrowing as arrowing
 import ramarrow.cli as cli
@@ -69,6 +72,29 @@ def test_exit_code_dimacs_past_copy_cap(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err == "usage error: --dimacs: more than 5 target copies in the host\n"
     assert not cnf.exists()
+
+
+def test_exit_code_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "arrows", broken)
+    code, out, err = run_cli(capsys, "arrows", "--host", "K6", "--red", "K3", "--blue", "K3")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: engine fault\n"
+
+
+def test_python_dash_m_entry_point():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramarrow", "arrows", "--host", "K6", "--red", "K3", "--blue", "K3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("K6 -> (K3, K3): arrows\n")
 
 
 def test_arrows_deep_host_counterexample(capsys):
