@@ -32,6 +32,7 @@ from .containment import (
     target_from_spec,
     target_to_spec,
     contains_target,
+    contains_target_through,
     max_matching_size,
     max_clique_size,
 )

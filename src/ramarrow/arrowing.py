@@ -25,6 +25,7 @@ from .containment import (
     TargetKind,
     _embeddings,
     contains_target,
+    contains_target_through,
     target_label,
     target_to_spec,
 )
@@ -402,11 +403,15 @@ def _clause_search(host, red_copies, blue_copies, *, order, symmetric, budget, o
 def _prune_only_search(host, red, blue, *, order, symmetric, budget, on_solution):
     """Fallback DFS pruned by direct containment checks; no propagation.
 
-    The state is the pair of red and blue adjacency-row tuples.
+    The state is the pair of red and blue adjacency-row tuples.  Every
+    state the search reaches has no monochromatic copy, so coloring uv
+    checks only for a copy through uv.  An edgeless target is checked on
+    the whole color class, since no copy of it goes through an edge.
     """
     n = host.order
     edges = host.edges
     targets = (red, blue)
+    rooted = tuple(realize(target_to_spec(t)).edge_count > 0 for t in targets)
 
     def step(state, e, c):
         u, v = edges[e]
@@ -414,7 +419,9 @@ def _prune_only_search(host, red, blue, *, order, symmetric, budget, on_solution
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         rows = tuple(rows)
-        if contains_target(Graph._raw(n, rows), targets[c]):
+        g = Graph._raw(n, rows)
+        t = targets[c]
+        if contains_target_through(g, t, u, v) if rooted[c] else contains_target(g, t):
             return None
         return (rows, state[BLUE]) if c == RED else (state[RED], rows)
 
@@ -546,7 +553,9 @@ def ramsey_number(
     """
     if max_r > 64:
         raise ValueError("max_r is capped at 64")
-    start = 2
+    if max_r < 1:
+        raise ValueError(f"max_r must be at least 1, got {max_r}")
+    start = 1
     try:
         start = max(start, formulas.burr_bound(target_to_spec(red), target_to_spec(blue)))
     except (formulas.HypothesisError, ValueError):

@@ -244,6 +244,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.budget is not None and args.budget < 0:
+            raise _UsageError(f"--budget must not be negative, got {args.budget}")
         if args.command == "arrows":
             return _cmd_arrows(args)
         if args.command == "numbers":

@@ -6,6 +6,11 @@ families the searches actually use (Complete, Star, Path, Matching, Book,
 Fan) have specialized detectors; every other expression, and any target
 wrapped in Generic, falls back to backtracking subgraph isomorphism with
 degree pruning.
+
+contains_target_through answers the rooted question "is there a copy that
+uses edge uv".  The prune-only search asks only that after coloring uv,
+since a color class that had no copy before can only gain one through its
+new edge.
 """
 
 from __future__ import annotations
@@ -80,29 +85,29 @@ def max_matching_size(g: Graph) -> int:
     return best((1 << g.order) - 1)
 
 
-def _has_matching(g: Graph, size: int) -> bool:
-    adj = g.adj
-
-    def search(mask: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if mask.bit_count() < 2 * need:
-            return False
-        while mask:
-            low = mask & -mask
-            rest = mask ^ low
-            nbrs = adj[low.bit_length() - 1] & rest
-            if nbrs:
-                while nbrs:
-                    ulow = nbrs & -nbrs
-                    nbrs ^= ulow
-                    if search(rest ^ ulow, need - 1):
-                        return True
-                return False
-            mask = rest  # isolated within mask; drop it
+def _matching_within(adj, mask: int, need: int) -> bool:
+    """True iff the vertices in mask hold `need` disjoint edges."""
+    if need == 0:
+        return True
+    if mask.bit_count() < 2 * need:
         return False
+    while mask:
+        low = mask & -mask
+        rest = mask ^ low
+        nbrs = adj[low.bit_length() - 1] & rest
+        if nbrs:
+            while nbrs:
+                ulow = nbrs & -nbrs
+                nbrs ^= ulow
+                if _matching_within(adj, rest ^ ulow, need - 1):
+                    return True
+            return False
+        mask = rest  # isolated within mask; drop it
+    return False
 
-    return search((1 << g.order) - 1, size)
+
+def _has_matching(g: Graph, size: int) -> bool:
+    return _matching_within(g.adj, (1 << g.order) - 1, size)
 
 
 # ---------------------------------------------------------------------------
@@ -132,93 +137,110 @@ def max_clique_size(g: Graph) -> int:
     return best
 
 
-def _has_clique(g: Graph, size: int) -> bool:
-    if size == 1:
+def _clique_within(adj, cand: int, need: int) -> bool:
+    """True iff the vertices in cand hold a clique on `need` vertices."""
+    if need == 0:
         return True
-    adj = g.adj
-
-    def search(cand: int, need: int) -> bool:
-        if need == 0:
+    while cand:
+        if cand.bit_count() < need:
+            return False
+        low = cand & -cand
+        cand ^= low
+        if _clique_within(adj, adj[low.bit_length() - 1] & cand, need - 1):
             return True
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            low = cand & -cand
-            cand ^= low
-            if search(adj[low.bit_length() - 1] & cand, need - 1):
-                return True
-        return False
+    return False
 
-    return search((1 << g.order) - 1, size)
+
+def _has_clique(g: Graph, size: int) -> bool:
+    return _clique_within(g.adj, (1 << g.order) - 1, size)
 
 
 # ---------------------------------------------------------------------------
 # Paths
 
 
+def _extend_path(adj, v: int, visited: int, remaining: int) -> bool:
+    """True iff a path from v through unvisited vertices adds `remaining` more."""
+    if remaining == 0:
+        return True
+    ext = adj[v] & ~visited
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        if _extend_path(adj, low.bit_length() - 1, visited | low, remaining - 1):
+            return True
+    return False
+
+
 def _has_path(g: Graph, n: int) -> bool:
     if n > g.order:
         return False
-    if n == 1:
-        return True
     adj = g.adj
+    return any(_extend_path(adj, start, 1 << start, n - 1) for start in range(g.order))
 
-    def extend(v: int, visited: int, remaining: int) -> bool:
-        if remaining == 0:
+
+def _path_through(adj, u: int, v: int, n: int) -> bool:
+    """A path on n >= 2 vertices using edge uv: a tail from v, then a head from u."""
+
+    def tail(end: int, visited: int, left: int) -> bool:
+        # the tail so far ends at `end`; the other `left` vertices go on either side
+        if _extend_path(adj, u, visited, left):
             return True
-        ext = adj[v] & ~visited
+        ext = adj[end] & ~visited
         while ext:
             low = ext & -ext
             ext ^= low
-            u = low.bit_length() - 1
-            if extend(u, visited | low, remaining - 1):
+            if tail(low.bit_length() - 1, visited | low, left - 1):
                 return True
         return False
 
-    for start in range(g.order):
-        if extend(start, 1 << start, n - 1):
-            return True
-    return False
+    return tail(v, 1 << u | 1 << v, n - 2)
 
 
 # ---------------------------------------------------------------------------
 # Generic backtracking subgraph isomorphism
 
 
-def _pattern_order(pattern: Graph) -> list[int]:
-    """Visit high-degree vertices first, preferring neighbors of placed ones."""
-    degs = [pattern.degree(v) for v in range(pattern.order)]
-    placed: list[int] = []
-    placed_mask = 0
-    remaining = set(range(pattern.order))
+def _pattern_order(pattern: Graph, start=()) -> list[int]:
+    """Visit `start`, then high-degree vertices, preferring neighbors of placed ones."""
+    padj = pattern.adj
+    placed = list(start)
+    placed_mask = sum(1 << v for v in placed)
+    remaining = [v for v in range(pattern.order) if not placed_mask >> v & 1]
+    # ties on (placed neighbors, degree) go to the lowest vertex
+    rank = {w: padj[w].bit_count() << 7 | 127 - w for w in remaining}
     while remaining:
-        def score(v):
-            return ((pattern.adj[v] & placed_mask).bit_count(), degs[v], -v)
-
-        v = max(remaining, key=score)
+        best = -1
+        for w in remaining:
+            key = (padj[w] & placed_mask).bit_count() << 14 | rank[w]
+            if key > best:
+                best, v = key, w
         placed.append(v)
         placed_mask |= 1 << v
         remaining.remove(v)
     return placed
 
 
-def _embeddings(host: Graph, pattern: Graph):
+def _embeddings(host: Graph, pattern: Graph, start=(), within: int = 0):
     """Yield every injective edge-preserving map pattern -> host.
 
     Maps are tuples indexed by pattern vertex.  Candidate filtering uses
-    host adjacency bitsets of the already-placed pattern neighbors.
+    host adjacency bitsets of the already-placed pattern neighbors.  The
+    pattern vertices in `start` are placed first, each inside the host
+    vertex mask `within`.
     """
     p = pattern.order
     if p > host.order:
         return
-    order = _pattern_order(pattern)
-    earlier: list[list[int]] = []
-    for k, u in enumerate(order):
-        earlier.append([j for j in range(k) if pattern.has_edge(u, order[j])])
+    padj = pattern.adj
+    order = _pattern_order(pattern, start)
+    # earlier[k]: the pattern neighbors of order[k] placed before it
+    earlier = [[w for w in order[:k] if padj[u] >> w & 1] for k, u in enumerate(order)]
     hadj = host.adj
     hdeg = [row.bit_count() for row in hadj]
-    pdeg = [pattern.degree(v) for v in range(p)]
+    pdeg = [row.bit_count() for row in padj]
     full = (1 << host.order) - 1
+    allowed = [within] * len(start) + [full] * (p - len(start))
     assign = [-1] * p
 
     def place(k: int, used: int):
@@ -226,9 +248,9 @@ def _embeddings(host: Graph, pattern: Graph):
             yield tuple(assign)
             return
         u = order[k]
-        cand = full & ~used
-        for j in earlier[k]:
-            cand &= hadj[assign[order[j]]]
+        cand = allowed[k] & ~used
+        for w in earlier[k]:
+            cand &= hadj[assign[w]]
         need = pdeg[u]
         while cand:
             low = cand & -cand
@@ -265,13 +287,59 @@ def contains_target(g: Graph, target: TargetKind) -> bool:
         adj = g.adj
         return any((adj[u] & adj[v]).bit_count() >= target.m for u, v in g.edges)
     if isinstance(target, Fan):
-        need = target.n
-        for v in range(g.order):
-            row = g.adj[v]
-            if row.bit_count() < 2 * need:
-                continue
-            hood = [u for u in range(g.order) if row >> u & 1]
-            if _has_matching(g.induced(hood), need):
+        adj = g.adj
+        return any(_matching_within(adj, row, target.n) for row in adj)
+    return _subgraph_exists(g, realize(target_to_spec(target)))
+
+
+def contains_target_through(g: Graph, target: TargetKind, u: int, v: int) -> bool:
+    """True iff g has a copy of the target that uses its edge uv.
+
+    An edgeless target has no such copy.  When g minus uv has no copy of
+    the target, this is the same predicate as contains_target(g, target).
+    """
+    adj = g.adj
+    if isinstance(target, Complete):
+        return target.n >= 2 and _clique_within(adj, adj[u] & adj[v], target.n - 2)
+    if isinstance(target, Star):
+        return adj[u].bit_count() >= target.n or adj[v].bit_count() >= target.n
+    if isinstance(target, Path):
+        return target.n >= 2 and _path_through(adj, u, v, target.n)
+    if isinstance(target, Matching):
+        rest = ((1 << g.order) - 1) & ~(1 << u | 1 << v)
+        return _matching_within(adj, rest, target.m - 1)
+    common = adj[u] & adj[v]
+    if isinstance(target, Book):
+        # uv is the spine, or a page edge on the spine uw or vw
+        m = target.m
+        if common.bit_count() >= m:
+            return True
+        while common:
+            low = common & -common
+            common ^= low
+            w = low.bit_length() - 1
+            if (adj[u] & adj[w]).bit_count() >= m or (adj[v] & adj[w]).bit_count() >= m:
                 return True
         return False
-    return _subgraph_exists(g, realize(target_to_spec(target)))
+    if isinstance(target, Fan):
+        # a blade through uv: hub u or v with a spoke on uv, or a hub w on rim uv;
+        # the other blades are a matching among the hub's remaining neighbors
+        need = target.n - 1
+        while common:
+            low = common & -common
+            common ^= low
+            w = low.bit_length() - 1
+            for hub, a, b in ((u, v, w), (v, u, w), (w, u, v)):
+                if _matching_within(adj, adj[hub] & ~(1 << a | 1 << b), need):
+                    return True
+        return False
+    # some pattern edge ab lands on uv, in either orientation, on endpoints of enough degree
+    pattern = realize(target_to_spec(target))
+    pdeg = [row.bit_count() for row in pattern.adj]
+    fewer, more = sorted((adj[u].bit_count(), adj[v].bit_count()))
+    ends = 1 << u | 1 << v
+    return any(
+        next(_embeddings(g, pattern, (a, b), ends), None) is not None
+        for a, b in pattern.edges
+        if min(pdeg[a], pdeg[b]) <= fewer and max(pdeg[a], pdeg[b]) <= more
+    )

@@ -175,6 +175,27 @@ def test_prune_only_mode_agrees_with_clauses():
         assert capped.stats.propagation_mode == "prune-only"
         assert full.arrows == capped.arrows
 
+    # every rooted detector family, generic targets and an edgeless one, against all colorings
+    pool = TARGET_POOL + [
+        Clique(4), BookT(1), BookT(2), FanT(1), FanT(2), FanT(3), MatchingT(3), PathT(5),
+        Generic(parse_spec("K3")), Generic(parse_spec("K4\\P4")), Generic(parse_spec("E2")),
+    ]
+    checked = 0
+    while checked < 60:
+        host = oracles.random_graph(rng, rng.randint(4, 7), rng.uniform(0.4, 0.9))
+        if host.edge_count > 14:
+            continue
+        red = rng.choice(pool)
+        blue = rng.choice(pool)
+        capped = arrows(host, red, blue, copy_cap=0)
+        if capped.stats.propagation_mode != "prune-only":
+            continue  # neither target fits in the host, so there is no copy to cap
+        want = oracles.naive_arrows(
+            host, realize(target_to_spec(red)), realize(target_to_spec(blue))
+        )
+        assert capped.arrows == want, (host, red, blue)
+        checked += 1
+
 
 def test_edge_monotonicity_of_arrowing():
     rng = random.Random(61)
@@ -224,6 +245,10 @@ def test_engine_output_is_pinned():
         (arrows(k9p4, FanT(2), Clique(3)), "clauses", 16025),
         (arrows(k9p4, FanT(2), Clique(3), deterministic=True), "clauses", 9179),
         (arrows(realize(Complete(8)), BookT(2), Clique(3), copy_cap=0), "prune-only", 66491),
+        (arrows(realize(Complete(7)), FanT(2), StarT(3), copy_cap=0), "prune-only", 2368),
+        (arrows(realize(Complete(7)), MatchingT(3), Clique(3), copy_cap=0), "prune-only", 7737),
+        (arrows(realize(Complete(6)), parse_spec("K3 u K2"), Clique(3), copy_cap=0),
+         "prune-only", 1838),
     ]
     for result, mode, nodes in runs:
         assert (result.verdict, result.stats.propagation_mode, result.stats.nodes) == (
@@ -275,6 +300,15 @@ def test_ramsey_examples():
 def test_ramsey_not_found_within_bound():
     with pytest.raises(NotFoundWithinBoundError):
         ramsey_number(Clique(3), Clique(3), max_r=5)
+    with pytest.raises(ValueError, match="at least 1"):
+        ramsey_number(Clique(3), Clique(3), max_r=0)
+
+
+def test_ramsey_number_of_an_edgeless_target_is_one():
+    # K1 holds K1 in every coloring of its zero edges
+    assert arrows(realize(Complete(1)), Clique(1), Clique(3)).arrows
+    assert ramsey_number(Clique(1), Clique(3)) == 1
+    assert ramsey_number(StarT(3), Clique(1)) == 1
 
 
 def test_critical_examples():

@@ -58,6 +58,25 @@ def test_exit_code_usage(capsys):
     assert code == 3
 
 
+def test_exit_code_negative_budget(capsys):
+    for argv in (
+        ["arrows", "--host", "K6", "--red", "K3", "--blue", "K3"],
+        ["numbers", "--red", "K2", "--blue", "K3"],
+        ["verify-paper", "--only", "witness-sweep"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--budget", "-5")
+        assert code == 3, argv
+        assert out == ""
+        assert err == "usage error: --budget must not be negative, got -5\n"
+
+
+def test_exit_code_max_r_below_one(capsys):
+    code, out, err = run_cli(capsys, "numbers", "--red", "K3", "--blue", "K3", "--max-r", "0")
+    assert code == 3
+    assert out == ""
+    assert err == "usage error: max_r must be at least 1, got 0\n"
+
+
 def test_exit_code_dimacs_past_copy_cap(tmp_path, capsys, monkeypatch):
     # the real export at a small cap stands in for K30 -> (K10, K10) at the default cap
     monkeypatch.setattr(
@@ -171,6 +190,13 @@ def test_numbers_star_examples(capsys):
     assert code == 0
     assert report["outputs"]["ramsey"]["value"] == 3
     assert report["outputs"]["critical"]["value"] == 0
+
+
+def test_numbers_edgeless_target(capsys):
+    # K1 already holds a red K1, so R(K1, K3) = 1
+    code, out, _ = run_cli(capsys, "numbers", "--red", "K1", "--blue", "K3")
+    assert code == 0
+    assert out.splitlines()[0] == "R(K1, K3) = 1  [search only]"
 
 
 def test_verify_single_check(capsys):

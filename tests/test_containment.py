@@ -10,6 +10,7 @@ from ramarrow.containment import (
     PathT,
     StarT,
     contains_target,
+    contains_target_through,
     max_clique_size,
     max_matching_size,
     target_from_spec,
@@ -25,6 +26,7 @@ from ramarrow.graphs import (
     Path,
     Star,
     Union,
+    parse_spec,
     realize,
     stats,
 )
@@ -91,6 +93,23 @@ def test_detectors_agree_with_independent_brute_force():
         for target in targets:
             pattern = realize(target_to_spec(target))
             assert contains_target(g, target) == oracles.brute_contains(g, pattern)
+
+
+def test_rooted_detector_against_brute_force_copies():
+    targets = [
+        Clique(3), Clique(4), StarT(2), StarT(3), PathT(3), PathT(4), PathT(5),
+        BookT(1), BookT(2), FanT(1), FanT(2), FanT(3), MatchingT(1), MatchingT(2), MatchingT(3),
+        Generic(Complete(3)), parse_spec("K3 u K2"), parse_spec("E2"),
+    ]
+    rng = random.Random(17)
+    for _ in range(60):
+        g = oracles.random_graph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.95))
+        for target in targets:
+            copies = oracles.brute_copy_masks(g, realize(target_to_spec(target)))
+            for i, (u, v) in enumerate(g.edges):
+                through = any(mask >> i & 1 for mask in copies)
+                assert contains_target_through(g, target, u, v) == through, (g, target, u, v)
+                assert contains_target_through(g, target, v, u) == through, (g, target, v, u)
 
 
 def test_monotone_under_edge_addition():
