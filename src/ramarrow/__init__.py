@@ -33,6 +33,7 @@ from .containment import (
     target_to_spec,
     contains_target,
     contains_target_through,
+    copy_through,
     max_matching_size,
     max_clique_size,
 )

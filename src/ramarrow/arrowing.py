@@ -8,8 +8,11 @@ bitmask, turns the copies into clauses ("some edge of a red copy must be
 blue" and vice versa), and runs an explicit-stack depth-first search over
 edge assignments with unit propagation on those bitmasks: the search state
 is one red and one blue edge mask, so backtracking restores two ints.
-Exhausting the space proves arrowing; a surviving complete assignment is a
-verified counterexample coloring.
+When the copies pass the copy cap, the same search learns its clauses
+instead: each newly colored edge asks for a copy through it in its color
+class, and a copy found is a conflict and a new clause.  Exhausting the
+space proves arrowing; a surviving complete assignment is a verified
+counterexample coloring.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from .coloring import BLUE, RED, Coloring, monochromatic_subgraph
 from .containment import (
     TargetKind,
     _embeddings,
+    _pattern,
     contains_target,
-    contains_target_through,
+    copy_through,
     target_label,
     target_to_spec,
 )
@@ -224,7 +228,7 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
     edgeless target has the single copy 0.  Deterministic: the result is
     sorted.  Raises CopyCapError past the cap.
     """
-    pattern = realize(target_to_spec(target))
+    pattern = _pattern(target)
     if pattern.order > host.order:
         return []
     if pattern.edge_count == 0:
@@ -264,10 +268,6 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
 # Clause-propagation search
 
 
-class _Budget(Exception):
-    pass
-
-
 def _branch_order(host: Graph, deterministic: bool) -> list[int]:
     m = host.edge_count
     if deterministic:
@@ -276,76 +276,70 @@ def _branch_order(host: Graph, deterministic: bool) -> list[int]:
     return sorted(range(m), key=lambda i: (-(degs[host.edges[i][0]] + degs[host.edges[i][1]]), i))
 
 
-def _dfs(order, state, step, *, skip, red_only_first, budget, on_solution, solution):
-    """Explicit-stack DFS over the edges in `order`, RED branch before BLUE.
+def _clause_search(host, targets, copies, *, order, symmetric, budget, on_solution):
+    """Explicit-stack DFS with unit propagation over copy clauses held as edge bitmasks.
 
-    The search state is immutable: step(state, e, c) returns the state with
-    edge e colored c, or None when that coloring is refuted, so
-    backtracking is restoring a saved state.  skip(state, oi) is the first
-    order position from oi whose edge is still uncolored, and
-    solution(state) the complete assignment list.  With red_only_first the
-    decision at order position 0 tries RED alone.  Returns (exhausted,
-    nodes) as the engines do.
-    """
-    m = len(order)
-    nodes = 0
-    stack = []  # (order position, state before it) of decisions whose BLUE branch is open
-    oi = skip(state, 0)
-    while True:
-        if oi == m:
-            if on_solution(solution(state)):
-                return False, nodes
-        else:
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _Budget(nodes)
-            if oi or not red_only_first:
-                stack.append((oi, state))
-            nxt = step(state, order[oi], RED)
-            if nxt is not None:
-                state = nxt
-                oi = skip(state, oi + 1)
-                continue
-        while stack:
-            oi, state = stack.pop()
-            nxt = step(state, order[oi], BLUE)
-            if nxt is not None:
-                state = nxt
-                oi = skip(state, oi + 1)
-                break
-        else:
-            return True, nodes
-
-
-def _clause_search(host, red_copies, blue_copies, *, order, symmetric, budget, on_solution):
-    """DFS with unit propagation over copy clauses held as edge bitmasks.
-
-    The state is the pair (red, blue) of edge masks.  occ[c][e] lists the
+    The state is the pair (red, blue) of edge masks, so backtracking restores
+    a saved pair; each decision tries RED before BLUE.  occ[c][e] lists the
     masks of the copies that forbid color c and contain edge e; coloring e
     with c visits only those, skipping a copy that already has an edge of
     the other color, failing on one whose edges all have color c, and
-    queueing the last free edge of a copy with one left for the other
-    color.  on_solution(assignment) -> bool; True stops the search.
-    Returns (exhausted: bool, nodes: int); exhausted=False means a solution
-    stopped the search early.  Raises _Budget(nodes) when the node budget
-    runs out.
+    queueing the last free edge of a copy with one left for the other color.
+
+    copies[c] is the enumerated copy list of targets[c], or None when
+    enumeration passed the cap.  Then the clauses are learned instead: every
+    state the search reaches has no monochromatic copy, so coloring e with c
+    (by a decision or by propagation) asks copy_through for a copy through e
+    in the grown class.  A copy found is a conflict, and it joins occ[c] as
+    a clause for later propagation.
+
+    on_solution(assignment) -> bool; True stops the search.  Returns (nodes,
+    budget_exhausted); the search stops once nodes passes the budget.
     """
-    m = host.edge_count
+    n, m = host.order, host.edge_count
+    edges = host.edges
     bit = [1 << e for e in range(m)]
     full = (1 << m) - 1
     occ = ([[] for _ in range(m)], [[] for _ in range(m)])
-    for forbid, copies in ((RED, red_copies), (BLUE, blue_copies)):
-        lists = occ[forbid]
-        for mask in copies:
-            if not mask:
-                return True, 0  # an edgeless copy is violated by every coloring
-            rest = mask
-            while rest:
-                e = rest.bit_length() - 1
-                lists[e].append(mask)
-                rest ^= bit[e]
+    learning = copies[RED] is None
+    if learning:
+        # an edgeless target has no copy through an edge; one that fits is in every class
+        empty = Graph._raw(n, (0,) * n)
+        if any(contains_target(empty, t) for t in targets):
+            return 0, False
+        index = host.edge_index
+    else:
+        for forbid in (RED, BLUE):
+            lists = occ[forbid]
+            for mask in copies[forbid]:
+                if not mask:
+                    return 0, False  # an edgeless copy is violated by every coloring
+                rest = mask
+                while rest:
+                    e = rest.bit_length() - 1
+                    lists[e].append(mask)
+                    rest ^= bit[e]
+
+    def learn(same, e, c):
+        # the class's adjacency rows, for a copy of targets[c] through e
+        rows = [0] * n
+        while same:
+            i = same.bit_length() - 1
+            same ^= bit[i]
+            a, b = edges[i]
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        copy = copy_through(Graph._raw(n, tuple(rows)), targets[c], *edges[e])
+        if copy is None:
+            return False
+        ids = [index[(a, b) if a < b else (b, a)] for a, b in copy]
+        mask = sum(bit[i] for i in ids)
+        for i in ids:
+            occ[c][i].append(mask)
+        return True
 
     def step(state, e, c):
+        # state with edge e colored c and its consequences, or None on a conflict
         masks = list(state)
         queue = [(e, c)]
         while queue:
@@ -366,74 +360,60 @@ def _clause_search(host, red_copies, blue_copies, *, order, symmetric, budget, o
                         if not rem:
                             return None
                         queue.append((rem.bit_length() - 1, flip))
+            if learning and learn(same, e, c):
+                return None
         return tuple(masks)
 
     def skip(state, oi):
+        # the first order position from oi whose edge is still uncolored
         assigned = state[0] | state[1]
         while oi < m and assigned & bit[order[oi]]:
             oi += 1
         return oi
 
-    def solution(state):
-        red = state[0]
-        return [RED if red & b else BLUE for b in bit]
-
     # one-edge copies fix their edge before any decision
     state = (0, 0)
-    for forbid, copies in ((RED, red_copies), (BLUE, blue_copies)):
-        for mask in copies:
+    for forbid in (RED, BLUE):
+        for mask in copies[forbid] or ():
             if not mask & (mask - 1):
                 state = step(state, mask.bit_length() - 1, 1 - forbid)
                 if state is None:
-                    return True, 0
+                    return 0, False
 
     if symmetric:
         first = skip(state, 0)
         if first < m:
             state = step(state, order[first], RED)
             if state is None:
-                return True, 0
+                return 0, False
 
-    return _dfs(
-        order, state, step, skip=skip, red_only_first=False,
-        budget=budget, on_solution=on_solution, solution=solution,
-    )
-
-
-def _prune_only_search(host, red, blue, *, order, symmetric, budget, on_solution):
-    """Fallback DFS pruned by direct containment checks; no propagation.
-
-    The state is the pair of red and blue adjacency-row tuples.  Every
-    state the search reaches has no monochromatic copy, so coloring uv
-    checks only for a copy through uv.  An edgeless target is checked on
-    the whole color class, since no copy of it goes through an edge.
-    """
-    n = host.order
-    edges = host.edges
-    targets = (red, blue)
-    rooted = tuple(realize(target_to_spec(t)).edge_count > 0 for t in targets)
-
-    def step(state, e, c):
-        u, v = edges[e]
-        rows = list(state[c])
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        rows = tuple(rows)
-        g = Graph._raw(n, rows)
-        t = targets[c]
-        if contains_target_through(g, t, u, v) if rooted[c] else contains_target(g, t):
-            return None
-        return (rows, state[BLUE]) if c == RED else (state[RED], rows)
-
-    def solution(state):
-        red_rows = state[RED]
-        return [RED if red_rows[u] >> v & 1 else BLUE for u, v in edges]
-
-    empty = (0,) * n
-    return _dfs(
-        order, (empty, empty), step, skip=lambda state, oi: oi, red_only_first=symmetric,
-        budget=budget, on_solution=on_solution, solution=solution,
-    )
+    nodes = 0
+    stack = []  # (order position, state before it) of decisions whose BLUE branch is open
+    oi = skip(state, 0)
+    while True:
+        if oi == m:
+            red = state[RED]
+            if on_solution([RED if red & b else BLUE for b in bit]):
+                return nodes, False
+        else:
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return nodes, True
+            stack.append((oi, state))
+            nxt = step(state, order[oi], RED)
+            if nxt is not None:
+                state = nxt
+                oi = skip(state, oi + 1)
+                continue
+        while stack:
+            oi, state = stack.pop()
+            nxt = step(state, order[oi], BLUE)
+            if nxt is not None:
+                state = nxt
+                oi = skip(state, oi + 1)
+                break
+        else:
+            return nodes, False
 
 
 def _search_free_colorings(
@@ -444,49 +424,34 @@ def _search_free_colorings(
     budget: int | None = None,
     deterministic: bool = False,
     copy_cap: int = DEFAULT_COPY_CAP,
-    allow_symmetry: bool = True,
     collect_all: bool = False,
 ):
     """Shared driver: find one (or every) complete free coloring of the host.
 
-    Returns (solutions, stats); solutions are raw assignment lists.
+    Returns (solutions, stats); solutions are raw assignment lists.  When
+    either target has more copies than copy_cap, both sides learn their
+    clauses during the search instead.
     """
     t0 = time.perf_counter()
     stats = SearchStats()
     order = _branch_order(host, deterministic)
-    symmetric = allow_symmetry and not collect_all and red == blue
+    symmetric = not collect_all and red == blue
     solutions: list[list[int]] = []
 
-    def keep_first(a):
+    def on_solution(a):
         solutions.append(a)
-        return True
+        return not collect_all  # True stops the search
 
-    def keep_all(a):
-        solutions.append(a)
-        return False
-
-    on_solution = keep_all if collect_all else keep_first
+    targets = (red, blue)
     try:
-        red_copies = enumerate_copies(host, red, copy_cap)
-        blue_copies = enumerate_copies(host, blue, copy_cap)
+        copies = [enumerate_copies(host, t, copy_cap) for t in targets]
     except CopyCapError:
-        stats.propagation_mode = "prune-only"
-        red_copies = blue_copies = None
-    try:
-        if red_copies is None:
-            exhausted, nodes = _prune_only_search(
-                host, red, blue, order=order, symmetric=symmetric,
-                budget=budget, on_solution=on_solution,
-            )
-        else:
-            exhausted, nodes = _clause_search(
-                host, red_copies, blue_copies, order=order, symmetric=symmetric,
-                budget=budget, on_solution=on_solution,
-            )
-        stats.nodes = nodes
-    except _Budget as exc:
-        stats.nodes = exc.args[0]
-        stats.budget_exhausted = True
+        stats.propagation_mode = "learned"
+        copies = [None, None]
+    stats.nodes, stats.budget_exhausted = _clause_search(
+        host, targets, copies, order=order, symmetric=symmetric,
+        budget=budget, on_solution=on_solution,
+    )
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     return solutions, stats
 

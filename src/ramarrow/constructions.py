@@ -121,7 +121,7 @@ def all_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> list[C
             f"exhaustive enumeration supports at most 30 host edges, got {host.edge_count}"
         )
     solutions, _ = _search_free_colorings(
-        host, red, blue, deterministic=True, allow_symmetry=False, collect_all=True
+        host, red, blue, deterministic=True, collect_all=True
     )
     return [Coloring(host, a) for a in solutions]
 

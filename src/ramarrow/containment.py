@@ -8,7 +8,8 @@ wrapped in Generic, falls back to backtracking subgraph isomorphism with
 degree pruning.
 
 contains_target_through answers the rooted question "is there a copy that
-uses edge uv".  The prune-only search asks only that after coloring uv,
+uses edge uv", and copy_through returns the edges of such a copy.  The
+search asks only that after coloring uv when it learns its copy clauses,
 since a color class that had no copy before can only gain one through its
 new edge.
 """
@@ -16,6 +17,7 @@ new edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import graphs
 from .graphs import Book, Complete, Fan, Graph, GraphSpec, Matching, Path, Star, realize
@@ -52,6 +54,12 @@ def target_to_spec(target: TargetKind) -> GraphSpec:
 
 def target_label(target: TargetKind) -> str:
     return graphs.spec_to_text(target_to_spec(target))
+
+
+@lru_cache(maxsize=256)
+def _pattern(target: TargetKind) -> Graph:
+    """The target realized as a graph, once per target (both are immutable)."""
+    return realize(target_to_spec(target))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +297,7 @@ def contains_target(g: Graph, target: TargetKind) -> bool:
     if isinstance(target, Fan):
         adj = g.adj
         return any(_matching_within(adj, row, target.n) for row in adj)
-    return _subgraph_exists(g, realize(target_to_spec(target)))
+    return _subgraph_exists(g, _pattern(target))
 
 
 def contains_target_through(g: Graph, target: TargetKind, u: int, v: int) -> bool:
@@ -334,7 +342,7 @@ def contains_target_through(g: Graph, target: TargetKind, u: int, v: int) -> boo
                     return True
         return False
     # some pattern edge ab lands on uv, in either orientation, on endpoints of enough degree
-    pattern = realize(target_to_spec(target))
+    pattern = _pattern(target)
     pdeg = [row.bit_count() for row in pattern.adj]
     fewer, more = sorted((adj[u].bit_count(), adj[v].bit_count()))
     ends = 1 << u | 1 << v
@@ -343,3 +351,14 @@ def contains_target_through(g: Graph, target: TargetKind, u: int, v: int) -> boo
         for a, b in pattern.edges
         if min(pdeg[a], pdeg[b]) <= fewer and max(pdeg[a], pdeg[b]) <= more
     )
+
+
+def copy_through(g: Graph, target: TargetKind, u: int, v: int) -> list[tuple[int, int]] | None:
+    """The edges of one copy of the target in g that uses its edge uv, or None."""
+    if not contains_target_through(g, target, u, v):
+        return None
+    pattern = _pattern(target)
+    ends = 1 << u | 1 << v
+    for ab in pattern.edges:  # some pattern edge lands on uv; pin each in turn
+        for emb in _embeddings(g, pattern, ab, ends):
+            return [(emb[a], emb[b]) for a, b in pattern.edges]

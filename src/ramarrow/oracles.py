@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations, product
 
-import numpy as np
-
 from .graphs import Graph
 
 
@@ -64,19 +62,28 @@ def brute_copy_masks(host: Graph, pattern: Graph) -> list[int]:
 
 
 def naive_arrows(host: Graph, red_pattern: Graph, blue_pattern: Graph) -> bool:
-    """Arrowing by enumerating every complete coloring (bit set = red)."""
+    """Arrowing by enumerating every complete coloring (bit set = red).
+
+    The truth table is one int with a bit per coloring of the m host edges:
+    bit x is set while coloring x is still free.
+    """
     m = host.edge_count
     if m > 24:
         raise ValueError("naive enumeration supports at most 24 host edges")
-    red_masks = brute_copy_masks(host, red_pattern)
-    blue_masks = brute_copy_masks(host, blue_pattern)
-    colorings = np.arange(1 << m, dtype=np.int64)
-    free = np.ones(1 << m, dtype=bool)
-    for mask in red_masks:
-        free &= (colorings & mask) != mask
-    for mask in blue_masks:
-        free &= (colorings & mask) != 0
-    return not bool(free.any())
+    size = 1 << m
+    every = (1 << size) - 1
+    # red[e]: bit x is set iff coloring x makes edge e red
+    red = [int(("1" * (1 << e) + "0" * (1 << e)) * (size >> e + 1), 2) for e in range(m)]
+    free = every
+    for masks, side in ((brute_copy_masks(host, red_pattern), red),
+                        (brute_copy_masks(host, blue_pattern), [every ^ t for t in red])):
+        for mask in masks:
+            inside = every  # colorings with every edge of this copy on this side
+            for e in range(m):
+                if mask >> e & 1:
+                    inside &= side[e]
+            free &= ~inside
+    return not free
 
 
 def naive_longest_path(g: Graph) -> int:

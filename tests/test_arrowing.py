@@ -163,7 +163,7 @@ def test_arrows_verdict_independent_of_branch_order():
         )
 
 
-def test_prune_only_mode_agrees_with_clauses():
+def test_learned_mode_agrees_with_clauses():
     rng = random.Random(31)
     for _ in range(25):
         host = oracles.random_graph(rng, rng.randint(4, 6), rng.uniform(0.4, 0.9))
@@ -172,7 +172,7 @@ def test_prune_only_mode_agrees_with_clauses():
         full = arrows(host, red, blue)
         assert full.stats.propagation_mode == "clauses"
         capped = arrows(host, red, blue, copy_cap=0)
-        assert capped.stats.propagation_mode == "prune-only"
+        assert capped.stats.propagation_mode == "learned"
         assert full.arrows == capped.arrows
 
     # every rooted detector family, generic targets and an edgeless one, against all colorings
@@ -188,13 +188,35 @@ def test_prune_only_mode_agrees_with_clauses():
         red = rng.choice(pool)
         blue = rng.choice(pool)
         capped = arrows(host, red, blue, copy_cap=0)
-        if capped.stats.propagation_mode != "prune-only":
+        if capped.stats.propagation_mode != "learned":
             continue  # neither target fits in the host, so there is no copy to cap
         want = oracles.naive_arrows(
             host, realize(target_to_spec(red)), realize(target_to_spec(blue))
         )
         assert capped.arrows == want, (host, red, blue)
         checked += 1
+
+
+def test_capped_counterexample_is_lex_least():
+    # learned clauses are real copies, so they cut off no free coloring: past the
+    # cap, each branch order still finds the enumerated clauses' first counterexample
+    pool = TARGET_POOL + [
+        Clique(4), BookT(1), BookT(2), FanT(1), FanT(2), PathT(5), MatchingT(3),
+        Generic(parse_spec("K4\\P4")), Generic(parse_spec("E2")), parse_spec("K2 u E3"),
+    ]
+    rng = random.Random(83)
+    for _ in range(80):
+        host = oracles.random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.9))
+        red = rng.choice(pool)
+        blue = rng.choice(pool)
+        for deterministic in (True, False):
+            full = arrows(host, red, blue, deterministic=deterministic)
+            capped = arrows(host, red, blue, deterministic=deterministic, copy_cap=0)
+            assert capped.verdict == full.verdict, (host, red, blue)
+            if full.counterexample is not None:
+                assert capped.counterexample.assignment == full.counterexample.assignment, (
+                    host, red, blue, deterministic,
+                )
 
 
 def test_edge_monotonicity_of_arrowing():
@@ -244,11 +266,11 @@ def test_engine_output_is_pinned():
         (arrows(k9, Clique(3), Clique(4)), "clauses", 19563),
         (arrows(k9p4, FanT(2), Clique(3)), "clauses", 16025),
         (arrows(k9p4, FanT(2), Clique(3), deterministic=True), "clauses", 9179),
-        (arrows(realize(Complete(8)), BookT(2), Clique(3), copy_cap=0), "prune-only", 66491),
-        (arrows(realize(Complete(7)), FanT(2), StarT(3), copy_cap=0), "prune-only", 2368),
-        (arrows(realize(Complete(7)), MatchingT(3), Clique(3), copy_cap=0), "prune-only", 7737),
+        (arrows(realize(Complete(8)), BookT(2), Clique(3), copy_cap=0), "learned", 1266),
+        (arrows(realize(Complete(7)), FanT(2), StarT(3), copy_cap=0), "learned", 386),
+        (arrows(realize(Complete(7)), MatchingT(3), Clique(3), copy_cap=0), "learned", 136),
         (arrows(realize(Complete(6)), parse_spec("K3 u K2"), Clique(3), copy_cap=0),
-         "prune-only", 1838),
+         "learned", 126),
     ]
     for result, mode, nodes in runs:
         assert (result.verdict, result.stats.propagation_mode, result.stats.nodes) == (
@@ -271,7 +293,7 @@ def test_engine_output_is_pinned():
 
 @pytest.mark.parametrize(
     "target, copy_cap, mode, nodes",
-    [(PathT(47), None, "clauses", 1034), (StarT(45), 0, "prune-only", 1037)],
+    [(PathT(47), None, "clauses", 1034), (StarT(45), 0, "learned", 1036)],
 )
 def test_search_depth_is_not_bounded_by_recursion(target, copy_cap, mode, nodes):
     # K46 has 1,035 edges, so the DFS is 1,035 decisions deep on its first branch

@@ -116,6 +116,18 @@ def test_python_dash_m_entry_point():
     assert proc.stdout.startswith("K6 -> (K3, K3): arrows\n")
 
 
+def test_package_imports_without_numpy():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, ramarrow, ramarrow.oracles; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_arrows_deep_host_counterexample(capsys):
     # 1,035 edges of search depth, past Python's default recursion limit
     code, out, _ = run_cli(capsys, "arrows", "--host", "K46", "--red", "P47", "--blue", "P47")

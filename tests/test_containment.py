@@ -11,6 +11,7 @@ from ramarrow.containment import (
     StarT,
     contains_target,
     contains_target_through,
+    copy_through,
     max_clique_size,
     max_matching_size,
     target_from_spec,
@@ -107,9 +108,17 @@ def test_rooted_detector_against_brute_force_copies():
         for target in targets:
             copies = oracles.brute_copy_masks(g, realize(target_to_spec(target)))
             for i, (u, v) in enumerate(g.edges):
-                through = any(mask >> i & 1 for mask in copies)
-                assert contains_target_through(g, target, u, v) == through, (g, target, u, v)
-                assert contains_target_through(g, target, v, u) == through, (g, target, v, u)
+                through = [mask for mask in copies if mask >> i & 1]
+                for a, b in ((u, v), (v, u)):
+                    assert contains_target_through(g, target, a, b) == bool(through), (
+                        g, target, a, b,
+                    )
+                    copy = copy_through(g, target, a, b)
+                    if copy is None:
+                        assert not through, (g, target, a, b)
+                    else:
+                        mask = sum(1 << g.edge_index[min(x, y), max(x, y)] for x, y in copy)
+                        assert mask in through, (g, target, a, b, copy)
 
 
 def test_monotone_under_edge_addition():
