@@ -32,7 +32,6 @@ from .containment import (
     target_from_spec,
     target_to_spec,
     contains_target,
-    contains_target_through,
     copy_through,
     max_matching_size,
     max_clique_size,

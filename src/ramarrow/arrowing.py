@@ -168,20 +168,21 @@ def _path_copies(host: Graph, bits, n: int, emit) -> None:
         extend(start, 1 << start, 0, n - 1, -(2 << start))
 
 
-def _matching_copies(host: Graph, m: int, emit) -> None:
-    ends = [1 << u | 1 << v for u, v in host.edges]
-    count = len(ends)
+def _disjoint_copies(items, k: int, emit) -> None:
+    """Emit the edge-mask union of every k (vertex mask, edge mask) items with disjoint vertices."""
+    count = len(items)
 
     def pick(start: int, used: int, mask: int, left: int) -> None:
         for idx in range(start, count):
-            if used & ends[idx]:
+            verts, edges = items[idx]
+            if used & verts:
                 continue
             if left == 1:
-                emit(mask | 1 << idx)
+                emit(mask | edges)
             else:
-                pick(idx + 1, used | ends[idx], mask | 1 << idx, left - 1)
+                pick(idx + 1, used | verts, mask | edges, left - 1)
 
-    pick(0, 0, 0, m)
+    pick(0, 0, 0, k)
 
 
 def _book_copies(host: Graph, bits, m: int, emit) -> None:
@@ -206,19 +207,7 @@ def _fan_copies(host: Graph, bits, n: int, emit) -> None:
             for a, b in host.edges
             if spokes[a] and spokes[b]
         ]
-        count = len(blades)
-
-        def pick(start: int, used: int, mask: int, left: int) -> None:
-            for idx in range(start, count):
-                rim, edges = blades[idx]
-                if used & rim:
-                    continue
-                if left == 1:
-                    emit(mask | edges)
-                else:
-                    pick(idx + 1, used | rim, mask | edges, left - 1)
-
-        pick(0, 0, 0, n)
+        _disjoint_copies(blades, n, emit)
 
 
 def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CAP) -> list[int]:
@@ -249,7 +238,8 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
     elif isinstance(target, Path):
         _path_copies(host, bits, target.n, emit)
     elif isinstance(target, Matching):
-        _matching_copies(host, target.m, emit)
+        _disjoint_copies([(1 << u | 1 << v, 1 << i) for i, (u, v) in enumerate(host.edges)],
+                         target.m, emit)
     elif isinstance(target, Book):
         _book_copies(host, bits, target.m, emit)
     elif isinstance(target, Fan):
@@ -291,7 +281,10 @@ def _clause_search(host, targets, copies, *, order, symmetric, budget, on_soluti
     state the search reaches has no monochromatic copy, so coloring e with c
     (by a decision or by propagation) asks copy_through for a copy through e
     in the grown class.  A copy found is a conflict, and it joins occ[c] as
-    a clause for later propagation.
+    a clause for later propagation.  For that query the learned-mode state
+    also carries the adjacency rows of each color class, (red, blue,
+    red rows, blue rows); step grows them with each colored edge, and
+    backtracking restores them with the rest of the state.
 
     on_solution(assignment) -> bool; True stops the search.  Returns (nodes,
     budget_exhausted); the search stops once nodes passes the budget.
@@ -320,16 +313,9 @@ def _clause_search(host, targets, copies, *, order, symmetric, budget, on_soluti
                     lists[e].append(mask)
                     rest ^= bit[e]
 
-    def learn(same, e, c):
-        # the class's adjacency rows, for a copy of targets[c] through e
-        rows = [0] * n
-        while same:
-            i = same.bit_length() - 1
-            same ^= bit[i]
-            a, b = edges[i]
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        copy = copy_through(Graph._raw(n, tuple(rows)), targets[c], *edges[e])
+    def learn(rows, e, c):
+        # a copy of targets[c] through e in the class with adjacency rows
+        copy = copy_through(Graph._raw(n, rows), targets[c], *edges[e])
         if copy is None:
             return False
         ids = [index[(a, b) if a < b else (b, a)] for a, b in copy]
@@ -360,8 +346,14 @@ def _clause_search(host, targets, copies, *, order, symmetric, budget, on_soluti
                         if not rem:
                             return None
                         queue.append((rem.bit_length() - 1, flip))
-            if learning and learn(same, e, c):
-                return None
+            if learning:
+                x, y = edges[e]
+                rows = list(masks[2 + c])
+                rows[x] |= 1 << y
+                rows[y] |= 1 << x
+                masks[2 + c] = rows = tuple(rows)
+                if learn(rows, e, c):
+                    return None
         return tuple(masks)
 
     def skip(state, oi):
@@ -372,7 +364,7 @@ def _clause_search(host, targets, copies, *, order, symmetric, budget, on_soluti
         return oi
 
     # one-edge copies fix their edge before any decision
-    state = (0, 0)
+    state = (0, 0, empty.adj, empty.adj) if learning else (0, 0)
     for forbid in (RED, BLUE):
         for mask in copies[forbid] or ():
             if not mask & (mask - 1):

@@ -7,17 +7,19 @@ Fan) have specialized detectors; every other expression, and any target
 wrapped in Generic, falls back to backtracking subgraph isomorphism with
 degree pruning.
 
-contains_target_through answers the rooted question "is there a copy that
-uses edge uv", and copy_through returns the edges of such a copy.  The
-search asks only that after coloring uv when it learns its copy clauses,
-since a color class that had no copy before can only gain one through its
-new edge.
+copy_through answers the rooted question "is there a copy that uses edge
+uv" with the edges of one such copy: the witness of a detected family's
+rooted detector, or a generic search with one pattern edge pinned on uv.
+The search asks only that after coloring uv when it learns its copy
+clauses, since a color class that had no copy before can only gain one
+through its new edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from . import graphs
 from .graphs import Book, Complete, Fan, Graph, GraphSpec, Matching, Path, Star, realize
@@ -93,12 +95,12 @@ def max_matching_size(g: Graph) -> int:
     return best((1 << g.order) - 1)
 
 
-def _matching_within(adj, mask: int, need: int) -> bool:
-    """True iff the vertices in mask hold `need` disjoint edges."""
+def _matching_within(adj, mask: int, need: int) -> list[tuple[int, int]] | None:
+    """`need` disjoint edges on the vertices in mask, or None."""
     if need == 0:
-        return True
+        return []
     if mask.bit_count() < 2 * need:
-        return False
+        return None
     while mask:
         low = mask & -mask
         rest = mask ^ low
@@ -107,15 +109,17 @@ def _matching_within(adj, mask: int, need: int) -> bool:
             while nbrs:
                 ulow = nbrs & -nbrs
                 nbrs ^= ulow
-                if _matching_within(adj, rest ^ ulow, need - 1):
-                    return True
-            return False
+                found = _matching_within(adj, rest ^ ulow, need - 1)
+                if found is not None:
+                    found.append((low.bit_length() - 1, ulow.bit_length() - 1))
+                    return found
+            return None
         mask = rest  # isolated within mask; drop it
-    return False
+    return None
 
 
 def _has_matching(g: Graph, size: int) -> bool:
-    return _matching_within(g.adj, (1 << g.order) - 1, size)
+    return _matching_within(g.adj, (1 << g.order) - 1, size) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -145,64 +149,71 @@ def max_clique_size(g: Graph) -> int:
     return best
 
 
-def _clique_within(adj, cand: int, need: int) -> bool:
-    """True iff the vertices in cand hold a clique on `need` vertices."""
+def _clique_within(adj, cand: int, need: int) -> int | None:
+    """The vertex mask of a clique on `need` vertices in cand, or None."""
     if need == 0:
-        return True
+        return 0
     while cand:
         if cand.bit_count() < need:
-            return False
+            return None
         low = cand & -cand
         cand ^= low
-        if _clique_within(adj, adj[low.bit_length() - 1] & cand, need - 1):
-            return True
-    return False
+        found = _clique_within(adj, adj[low.bit_length() - 1] & cand, need - 1)
+        if found is not None:
+            return found | low
+    return None
 
 
 def _has_clique(g: Graph, size: int) -> bool:
-    return _clique_within(g.adj, (1 << g.order) - 1, size)
+    return _clique_within(g.adj, (1 << g.order) - 1, size) is not None
 
 
 # ---------------------------------------------------------------------------
 # Paths
 
 
-def _extend_path(adj, v: int, visited: int, remaining: int) -> bool:
-    """True iff a path from v through unvisited vertices adds `remaining` more."""
+def _extend_path(adj, v: int, visited: int, remaining: int) -> list[tuple[int, int]] | None:
+    """The edges of a path from v through `remaining` more unvisited vertices, or None."""
     if remaining == 0:
-        return True
+        return []
     ext = adj[v] & ~visited
     while ext:
         low = ext & -ext
         ext ^= low
-        if _extend_path(adj, low.bit_length() - 1, visited | low, remaining - 1):
-            return True
-    return False
+        found = _extend_path(adj, low.bit_length() - 1, visited | low, remaining - 1)
+        if found is not None:
+            found.append((v, low.bit_length() - 1))
+            return found
+    return None
 
 
 def _has_path(g: Graph, n: int) -> bool:
     if n > g.order:
         return False
     adj = g.adj
-    return any(_extend_path(adj, start, 1 << start, n - 1) for start in range(g.order))
+    return any(_extend_path(adj, start, 1 << start, n - 1) is not None for start in range(g.order))
 
 
-def _path_through(adj, u: int, v: int, n: int) -> bool:
-    """A path on n >= 2 vertices using edge uv: a tail from v, then a head from u."""
+def _path_through(adj, u: int, v: int, n: int) -> list[tuple[int, int]] | None:
+    """The edges of a path on n >= 2 vertices using edge uv: a tail from v, then a head from u."""
 
-    def tail(end: int, visited: int, left: int) -> bool:
+    def tail(end: int, visited: int, left: int) -> list[tuple[int, int]] | None:
         # the tail so far ends at `end`; the other `left` vertices go on either side
-        if _extend_path(adj, u, visited, left):
-            return True
+        found = _extend_path(adj, u, visited, left)
+        if found is not None:
+            return found
         ext = adj[end] & ~visited
         while ext:
             low = ext & -ext
             ext ^= low
-            if tail(low.bit_length() - 1, visited | low, left - 1):
-                return True
-        return False
+            found = tail(low.bit_length() - 1, visited | low, left - 1)
+            if found is not None:
+                found.append((end, low.bit_length() - 1))
+                return found
+        return None
 
-    return tail(v, 1 << u | 1 << v, n - 2)
+    found = tail(v, 1 << u | 1 << v, n - 2)
+    return None if found is None else found + [(u, v)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,69 +307,63 @@ def contains_target(g: Graph, target: TargetKind) -> bool:
         return any((adj[u] & adj[v]).bit_count() >= target.m for u, v in g.edges)
     if isinstance(target, Fan):
         adj = g.adj
-        return any(_matching_within(adj, row, target.n) for row in adj)
+        return any(_matching_within(adj, row, target.n) is not None for row in adj)
     return _subgraph_exists(g, _pattern(target))
 
 
-def contains_target_through(g: Graph, target: TargetKind, u: int, v: int) -> bool:
-    """True iff g has a copy of the target that uses its edge uv.
+def _vertices(mask: int) -> list[int]:
+    return [w for w in range(mask.bit_length()) if mask >> w & 1]
+
+
+def copy_through(g: Graph, target: TargetKind, u: int, v: int) -> list[tuple[int, int]] | None:
+    """The edges of one copy of the target in g that uses its edge uv, or None.
 
     An edgeless target has no such copy.  When g minus uv has no copy of
-    the target, this is the same predicate as contains_target(g, target).
+    the target, None means that g has no copy at all.
     """
     adj = g.adj
     if isinstance(target, Complete):
-        return target.n >= 2 and _clique_within(adj, adj[u] & adj[v], target.n - 2)
+        rest = _clique_within(adj, adj[u] & adj[v], target.n - 2) if target.n >= 2 else None
+        return None if rest is None else list(combinations([u, v] + _vertices(rest), 2))
     if isinstance(target, Star):
-        return adj[u].bit_count() >= target.n or adj[v].bit_count() >= target.n
+        for hub, leaf in ((u, v), (v, u)):
+            if adj[hub].bit_count() >= target.n:
+                leaves = [leaf] + _vertices(adj[hub] & ~(1 << leaf))[: target.n - 1]
+                return [(hub, w) for w in leaves]
+        return None
     if isinstance(target, Path):
-        return target.n >= 2 and _path_through(adj, u, v, target.n)
+        return _path_through(adj, u, v, target.n) if target.n >= 2 else None
     if isinstance(target, Matching):
-        rest = ((1 << g.order) - 1) & ~(1 << u | 1 << v)
-        return _matching_within(adj, rest, target.m - 1)
+        rest = _matching_within(adj, ((1 << g.order) - 1) & ~(1 << u | 1 << v), target.m - 1)
+        return None if rest is None else rest + [(u, v)]
     common = adj[u] & adj[v]
     if isinstance(target, Book):
-        # uv is the spine, or a page edge on the spine uw or vw
+        # uv is the spine, or a page edge on the spine aw with page b
         m = target.m
         if common.bit_count() >= m:
-            return True
-        while common:
-            low = common & -common
-            common ^= low
-            w = low.bit_length() - 1
-            if (adj[u] & adj[w]).bit_count() >= m or (adj[v] & adj[w]).bit_count() >= m:
-                return True
-        return False
+            return [(u, v)] + [(x, w) for w in _vertices(common)[:m] for x in (u, v)]
+        for a, b in ((u, v), (v, u)):
+            for w in _vertices(common):
+                pages = [b] + _vertices(adj[a] & adj[w] & ~(1 << b))[: m - 1]
+                if len(pages) == m:
+                    return [(a, w)] + [(x, p) for p in pages for x in (a, w)]
+        return None
     if isinstance(target, Fan):
         # a blade through uv: hub u or v with a spoke on uv, or a hub w on rim uv;
         # the other blades are a matching among the hub's remaining neighbors
-        need = target.n - 1
-        while common:
-            low = common & -common
-            common ^= low
-            w = low.bit_length() - 1
+        for w in _vertices(common):
             for hub, a, b in ((u, v, w), (v, u, w), (w, u, v)):
-                if _matching_within(adj, adj[hub] & ~(1 << a | 1 << b), need):
-                    return True
-        return False
+                rims = _matching_within(adj, adj[hub] & ~(1 << a | 1 << b), target.n - 1)
+                if rims is not None:
+                    return [e for x, y in rims + [(a, b)] for e in ((hub, x), (hub, y), (x, y))]
+        return None
     # some pattern edge ab lands on uv, in either orientation, on endpoints of enough degree
     pattern = _pattern(target)
     pdeg = [row.bit_count() for row in pattern.adj]
     fewer, more = sorted((adj[u].bit_count(), adj[v].bit_count()))
     ends = 1 << u | 1 << v
-    return any(
-        next(_embeddings(g, pattern, (a, b), ends), None) is not None
-        for a, b in pattern.edges
-        if min(pdeg[a], pdeg[b]) <= fewer and max(pdeg[a], pdeg[b]) <= more
-    )
-
-
-def copy_through(g: Graph, target: TargetKind, u: int, v: int) -> list[tuple[int, int]] | None:
-    """The edges of one copy of the target in g that uses its edge uv, or None."""
-    if not contains_target_through(g, target, u, v):
-        return None
-    pattern = _pattern(target)
-    ends = 1 << u | 1 << v
-    for ab in pattern.edges:  # some pattern edge lands on uv; pin each in turn
-        for emb in _embeddings(g, pattern, ab, ends):
-            return [(emb[a], emb[b]) for a, b in pattern.edges]
+    for a, b in pattern.edges:
+        if min(pdeg[a], pdeg[b]) <= fewer and max(pdeg[a], pdeg[b]) <= more:
+            for emb in _embeddings(g, pattern, (a, b), ends):
+                return [(emb[x], emb[y]) for x, y in pattern.edges]
+    return None

@@ -267,7 +267,7 @@ def test_engine_output_is_pinned():
         (arrows(k9p4, FanT(2), Clique(3)), "clauses", 16025),
         (arrows(k9p4, FanT(2), Clique(3), deterministic=True), "clauses", 9179),
         (arrows(realize(Complete(8)), BookT(2), Clique(3), copy_cap=0), "learned", 1266),
-        (arrows(realize(Complete(7)), FanT(2), StarT(3), copy_cap=0), "learned", 386),
+        (arrows(realize(Complete(7)), FanT(2), StarT(3), copy_cap=0), "learned", 385),
         (arrows(realize(Complete(7)), MatchingT(3), Clique(3), copy_cap=0), "learned", 136),
         (arrows(realize(Complete(6)), parse_spec("K3 u K2"), Clique(3), copy_cap=0),
          "learned", 126),

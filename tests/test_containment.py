@@ -1,6 +1,7 @@
 import random
 
-from ramarrow import oracles
+from ramarrow import containment, oracles
+from ramarrow.arrowing import arrows
 from ramarrow.containment import (
     BookT,
     Clique,
@@ -10,7 +11,6 @@ from ramarrow.containment import (
     PathT,
     StarT,
     contains_target,
-    contains_target_through,
     copy_through,
     max_clique_size,
     max_matching_size,
@@ -98,7 +98,8 @@ def test_detectors_agree_with_independent_brute_force():
 
 def test_rooted_detector_against_brute_force_copies():
     targets = [
-        Clique(3), Clique(4), StarT(2), StarT(3), PathT(3), PathT(4), PathT(5),
+        Clique(1), Clique(2), Clique(3), Clique(4), StarT(1), StarT(2), StarT(3), StarT(4),
+        PathT(1), PathT(2), PathT(3), PathT(4), PathT(5),
         BookT(1), BookT(2), FanT(1), FanT(2), FanT(3), MatchingT(1), MatchingT(2), MatchingT(3),
         Generic(Complete(3)), parse_spec("K3 u K2"), parse_spec("E2"),
     ]
@@ -110,15 +111,30 @@ def test_rooted_detector_against_brute_force_copies():
             for i, (u, v) in enumerate(g.edges):
                 through = [mask for mask in copies if mask >> i & 1]
                 for a, b in ((u, v), (v, u)):
-                    assert contains_target_through(g, target, a, b) == bool(through), (
-                        g, target, a, b,
-                    )
                     copy = copy_through(g, target, a, b)
                     if copy is None:
                         assert not through, (g, target, a, b)
                     else:
                         mask = sum(1 << g.edge_index[min(x, y), max(x, y)] for x, y in copy)
                         assert mask in through, (g, target, a, b, copy)
+
+
+def test_detected_families_never_use_the_generic_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generic embedding search called")
+
+    monkeypatch.setattr(containment, "_embeddings", refuse)
+    g = realize(Complete(7))
+    for target in (Clique(3), StarT(3), PathT(5), MatchingT(3), BookT(2), FanT(2)):
+        copy = copy_through(g, target, 2, 5)
+        edges = sorted(tuple(sorted(edge)) for edge in copy)
+        assert (2, 5) in edges and len(set(edges)) == realize(target).edge_count, (target, copy)
+    runs = ((7, FanT(2), StarT(3)), (8, BookT(2), Clique(3)), (6, PathT(5), MatchingT(3)))
+    for r, red, blue in runs:
+        host = realize(Complete(r))
+        learned = arrows(host, red, blue, copy_cap=0)
+        assert learned.stats.propagation_mode == "learned"
+        assert learned.verdict == arrows(host, red, blue).verdict, (r, red, blue)
 
 
 def test_monotone_under_edge_addition():
