@@ -45,6 +45,7 @@ from .arrowing import (
     IndeterminateError,
     NotFoundWithinBoundError,
     arrows,
+    all_free_colorings,
     ramsey_number,
     critical_number,
     export_dimacs,
@@ -69,7 +70,6 @@ from .constructions import (
     WitnessReport,
     block_coloring_witness,
     odd_clique_pair,
-    all_free_colorings,
     enumerate_free_colorings,
     canonical_coloring_key,
     witness_payload,

@@ -1,18 +1,21 @@
 """Exhaustive arrowing search with monochromatic-copy propagation.
 
-Decides host -> (red, blue), computes Ramsey numbers and deletion-critical
-numbers, and exports the search space as DIMACS CNF.
+Decides host -> (red, blue), lists every free coloring of a small host,
+computes Ramsey numbers and deletion-critical numbers, and exports the
+search space as DIMACS CNF.
 
-The engine enumerates every copy of each target inside the host as an edge
-bitmask, turns the copies into clauses ("some edge of a red copy must be
-blue" and vice versa), and runs an explicit-stack depth-first search over
-edge assignments with unit propagation on those bitmasks: the search state
-is one red and one blue edge mask, so backtracking restores two ints.
-When the copies pass the copy cap, the same search learns its clauses
-instead: each newly colored edge asks for a copy through it in its color
-class, and a copy found is a conflict and a new clause.  Exhausting the
-space proves arrowing; a surviving complete assignment is a verified
-counterexample coloring.
+The engine is one generator, _free_colorings.  It enumerates every copy of
+each target inside the host as an edge bitmask, turns the copies into
+clauses ("some edge of a red copy must be blue" and vice versa), and runs
+an explicit-stack depth-first search over edge assignments with unit
+propagation on those bitmasks: the search state is one red and one blue
+edge mask, so backtracking restores two ints.  When the copies pass the
+copy cap, the same search learns its clauses instead: each newly colored
+edge asks for a copy through it in its color class, and a copy found is a
+conflict and a new clause.  The generator yields each complete free
+coloring it reaches; arrows takes the first (exhausting the space proves
+arrowing, and a coloring is re-verified before it is returned as a
+counterexample), and all_free_colorings takes them all.
 """
 
 from __future__ import annotations
@@ -266,47 +269,57 @@ def _branch_order(host: Graph, deterministic: bool) -> list[int]:
     return sorted(range(m), key=lambda i: (-(degs[host.edges[i][0]] + degs[host.edges[i][1]]), i))
 
 
-def _clause_search(host, targets, copies, *, order, symmetric, budget, on_solution):
-    """Explicit-stack DFS with unit propagation over copy clauses held as edge bitmasks.
+def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
+                    copy_cap=DEFAULT_COPY_CAP):
+    """Yield each complete free coloring of the host as an assignment list, in DFS order.
 
-    The state is the pair (red, blue) of edge masks, so backtracking restores
-    a saved pair; each decision tries RED before BLUE.  occ[c][e] lists the
-    masks of the copies that forbid color c and contain edge e; coloring e
-    with c visits only those, skipping a copy that already has an edge of
-    the other color, failing on one whose edges all have color c, and
-    queueing the last free edge of a copy with one left for the other color.
+    An explicit-stack DFS over the edges in branch order, with unit
+    propagation over copy clauses held as edge bitmasks.  The state is the
+    pair (red, blue) of edge masks, so backtracking restores a saved pair;
+    each decision tries RED before BLUE, and symmetric (for red == blue)
+    fixes the first free edge RED.  occ[c][e] lists the masks of the copies
+    that forbid color c and contain edge e; coloring e with c visits only
+    those, skipping a copy that already has an edge of the other color,
+    failing on one whose edges all have color c, and queueing the last free
+    edge of a copy with one left for the other color.
 
-    copies[c] is the enumerated copy list of targets[c], or None when
-    enumeration passed the cap.  Then the clauses are learned instead: every
-    state the search reaches has no monochromatic copy, so coloring e with c
-    (by a decision or by propagation) asks copy_through for a copy through e
-    in the grown class.  A copy found is a conflict, and it joins occ[c] as
-    a clause for later propagation.  For that query the learned-mode state
-    also carries the adjacency rows of each color class, (red, blue,
-    red rows, blue rows); step grows them with each colored edge, and
-    backtracking restores them with the rest of the state.
+    When either target has more than copy_cap copies, both sides learn
+    their clauses instead: every state the search reaches has no
+    monochromatic copy, so coloring e with c (by a decision or by
+    propagation) asks copy_through for a copy through e in the grown class.
+    A copy found is a conflict, and it joins occ[c] as a clause for later
+    propagation.  For that query the learned-mode state also carries the
+    adjacency rows of each color class, (red, blue, red rows, blue rows);
+    step grows them with each colored edge, and backtracking restores them
+    with the rest of the state.
 
-    on_solution(assignment) -> bool; True stops the search.  Returns (nodes,
-    budget_exhausted); the search stops once nodes passes the budget.
+    stats gets nodes (current at each yield), propagation_mode and
+    budget_exhausted; the search stops once nodes passes the budget.
     """
     n, m = host.order, host.edge_count
     edges = host.edges
     bit = [1 << e for e in range(m)]
     full = (1 << m) - 1
+    targets = (red, blue)
+    try:
+        copies = [enumerate_copies(host, t, copy_cap) for t in targets]
+    except CopyCapError:
+        stats.propagation_mode = "learned"
+        copies = [None, None]
     occ = ([[] for _ in range(m)], [[] for _ in range(m)])
     learning = copies[RED] is None
     if learning:
         # an edgeless target has no copy through an edge; one that fits is in every class
         empty = Graph._raw(n, (0,) * n)
         if any(contains_target(empty, t) for t in targets):
-            return 0, False
+            return
         index = host.edge_index
     else:
         for forbid in (RED, BLUE):
             lists = occ[forbid]
             for mask in copies[forbid]:
                 if not mask:
-                    return 0, False  # an edgeless copy is violated by every coloring
+                    return  # an edgeless copy is violated by every coloring
                 rest = mask
                 while rest:
                     e = rest.bit_length() - 1
@@ -370,27 +383,27 @@ def _clause_search(host, targets, copies, *, order, symmetric, budget, on_soluti
             if not mask & (mask - 1):
                 state = step(state, mask.bit_length() - 1, 1 - forbid)
                 if state is None:
-                    return 0, False
+                    return
 
     if symmetric:
         first = skip(state, 0)
         if first < m:
             state = step(state, order[first], RED)
             if state is None:
-                return 0, False
+                return
 
     nodes = 0
     stack = []  # (order position, state before it) of decisions whose BLUE branch is open
     oi = skip(state, 0)
     while True:
         if oi == m:
-            red = state[RED]
-            if on_solution([RED if red & b else BLUE for b in bit]):
-                return nodes, False
+            stats.nodes = nodes
+            yield [RED if state[RED] & b else BLUE for b in bit]
         else:
             nodes += 1
             if budget is not None and nodes > budget:
-                return nodes, True
+                stats.nodes, stats.budget_exhausted = nodes, True
+                return
             stack.append((oi, state))
             nxt = step(state, order[oi], RED)
             if nxt is not None:
@@ -405,47 +418,8 @@ def _clause_search(host, targets, copies, *, order, symmetric, budget, on_soluti
                 oi = skip(state, oi + 1)
                 break
         else:
-            return nodes, False
-
-
-def _search_free_colorings(
-    host: Graph,
-    red: TargetKind,
-    blue: TargetKind,
-    *,
-    budget: int | None = None,
-    deterministic: bool = False,
-    copy_cap: int = DEFAULT_COPY_CAP,
-    collect_all: bool = False,
-):
-    """Shared driver: find one (or every) complete free coloring of the host.
-
-    Returns (solutions, stats); solutions are raw assignment lists.  When
-    either target has more copies than copy_cap, both sides learn their
-    clauses during the search instead.
-    """
-    t0 = time.perf_counter()
-    stats = SearchStats()
-    order = _branch_order(host, deterministic)
-    symmetric = not collect_all and red == blue
-    solutions: list[list[int]] = []
-
-    def on_solution(a):
-        solutions.append(a)
-        return not collect_all  # True stops the search
-
-    targets = (red, blue)
-    try:
-        copies = [enumerate_copies(host, t, copy_cap) for t in targets]
-    except CopyCapError:
-        stats.propagation_mode = "learned"
-        copies = [None, None]
-    stats.nodes, stats.budget_exhausted = _clause_search(
-        host, targets, copies, order=order, symmetric=symmetric,
-        budget=budget, on_solution=on_solution,
-    )
-    stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return solutions, stats
+            stats.nodes = nodes
+            return
 
 
 def _verify_counterexample(host: Graph, assignment, red: TargetKind, blue: TargetKind) -> Coloring:
@@ -477,16 +451,29 @@ def arrows(
     lexicographically least free assignment in canonical edge order (red
     below blue).
     """
-    solutions, stats = _search_free_colorings(
-        host, red, blue,
-        budget=budget, deterministic=deterministic, copy_cap=copy_cap,
-    )
+    t0 = time.perf_counter()
+    stats = SearchStats()
+    found = next(_free_colorings(
+        host, red, blue, stats, order=_branch_order(host, deterministic),
+        symmetric=red == blue, budget=budget, copy_cap=copy_cap,
+    ), None)
+    stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     if stats.budget_exhausted:
         return ArrowingResult("indeterminate", None, stats)
-    if solutions:
-        col = _verify_counterexample(host, solutions[0], red, blue)
-        return ArrowingResult("counterexample", col, stats)
-    return ArrowingResult("arrows", None, stats)
+    if found is None:
+        return ArrowingResult("arrows", None, stats)
+    return ArrowingResult("counterexample", _verify_counterexample(host, found, red, blue), stats)
+
+
+def all_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> list[Coloring]:
+    """Every complete free coloring of the host, in lexicographic order (canonical edge order)."""
+    if host.edge_count > 30:
+        raise ValueError(
+            f"exhaustive enumeration supports at most 30 host edges, got {host.edge_count}"
+        )
+    order = _branch_order(host, deterministic=True)
+    search = _free_colorings(host, red, blue, SearchStats(), order=order, symmetric=False)
+    return [Coloring(host, a) for a in search]
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +487,6 @@ def ramsey_number(
     *,
     budget: int | None = None,
     deterministic: bool = False,
-    copy_cap: int = DEFAULT_COPY_CAP,
 ) -> int:
     """Smallest r <= max_r with K_r -> (red, blue), by ascending search.
 
@@ -520,7 +506,7 @@ def ramsey_number(
     for r in range(start, max_r + 1):
         result = arrows(
             realize(Complete(r)), red, blue,
-            budget=budget, deterministic=deterministic, copy_cap=copy_cap,
+            budget=budget, deterministic=deterministic,
         )
         if result.verdict == "indeterminate":
             raise IndeterminateError(f"budget exhausted deciding K_{r}")
@@ -539,7 +525,6 @@ def critical_number(
     *,
     budget: int | None = None,
     deterministic: bool = False,
-    copy_cap: int = DEFAULT_COPY_CAP,
 ) -> int:
     """Largest family index whose deletion from K_r preserves arrowing.
 
@@ -549,16 +534,12 @@ def critical_number(
     stops at the first failure.
     """
     if r is None:
-        r = ramsey_number(
-            red, blue, budget=budget, deterministic=deterministic, copy_cap=copy_cap
-        )
+        r = ramsey_number(red, blue, budget=budget, deterministic=deterministic)
     last = 0
     index = family.first_index()
     while index <= family.max_index(r):
         host = realize(Minus(Complete(r), family.deletion_spec(index)))
-        result = arrows(
-            host, red, blue, budget=budget, deterministic=deterministic, copy_cap=copy_cap
-        )
+        result = arrows(host, red, blue, budget=budget, deterministic=deterministic)
         if result.verdict == "indeterminate":
             raise IndeterminateError(
                 f"budget exhausted deciding K_{r} minus {family.value} index {index}"

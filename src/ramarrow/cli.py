@@ -98,6 +98,14 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
+def _write(path: str, flag: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_arrows(args) -> int:
     host = realize(parse_spec(args.host))
     red = parse_spec(args.red)
@@ -107,8 +115,7 @@ def _cmd_arrows(args) -> int:
             cnf = export_dimacs(host, red, blue)
         except CopyCapError as exc:
             raise _UsageError(f"--dimacs: {exc}") from None
-        with open(args.dimacs, "w", encoding="utf-8") as fh:
-            fh.write(cnf)
+        _write(args.dimacs, "--dimacs", cnf)
     result = arrows(
         host, red, blue, budget=args.budget, deterministic=args.deterministic
     )
@@ -135,9 +142,7 @@ def _cmd_arrows(args) -> int:
             "coloring": result.counterexample.edge_triples(),
             "red_graph6": graph6_encode(monochromatic_subgraph(result.counterexample, RED)),
         }
-        with open(args.emit_witness, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write(args.emit_witness, "--emit-witness", json.dumps(payload, indent=2) + "\n")
     lines = [f"{args.host} -> ({args.red}, {args.blue}): {result.verdict}"]
     if result.counterexample is not None:
         lines.append(f"counterexample: {result.counterexample.edge_triples()}")
@@ -226,9 +231,7 @@ def _cmd_verify(args) -> int:
     report = run_verification(level=args.level, only=only, budget=budget)
     report["runtime_ms"] = round((time.perf_counter() - t0) * 1000.0, 1)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write(args.out, "--out", json.dumps(report, indent=2) + "\n")
     lines = []
     for check in report["checks"]:
         lines.append(f"[{check['status']:>5}] {check['name']} ({check['runtime_ms']:.0f}ms)")
@@ -251,10 +254,7 @@ def main(argv=None) -> int:
         if args.command == "numbers":
             return _cmd_numbers(args)
         return _cmd_verify(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SpecError, Graph6Error, ValueError) as exc:
+    except (_UsageError, SpecError, Graph6Error, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IndeterminateError as exc:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from . import formulas
-from .arrowing import _search_free_colorings
+from .arrowing import all_free_colorings
 from .coloring import BLUE, RED, Coloring, monochromatic_subgraph
 from .containment import TargetKind, contains_target
 from .graphs import (
@@ -114,18 +114,6 @@ def odd_clique_pair(n: int, i: int) -> Coloring:
 # Exhaustive enumeration of free colorings
 
 
-def all_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> list[Coloring]:
-    """Every complete free coloring of the host, in deterministic order."""
-    if host.edge_count > 30:
-        raise ValueError(
-            f"exhaustive enumeration supports at most 30 host edges, got {host.edge_count}"
-        )
-    solutions, _ = _search_free_colorings(
-        host, red, blue, deterministic=True, collect_all=True
-    )
-    return [Coloring(host, a) for a in solutions]
-
-
 def enumerate_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> list[Coloring]:
     """One representative per color-preserving isomorphism class."""
     representatives: dict[tuple, Coloring] = {}
@@ -214,11 +202,7 @@ def canonical_coloring_key(coloring: Coloring) -> tuple[int, ...]:
         if best is None or key < best:
             best = key
 
-    initial: dict[tuple[int, int], list[int]] = {}
-    for v in range(n):
-        sig = (red_rows[v].bit_count(), blue_rows[v].bit_count())
-        initial.setdefault(sig, []).append(v)
-    descend([initial[s] for s in sorted(initial)])
+    descend([list(range(n))] if n else [])
     assert best is not None
     return best
 

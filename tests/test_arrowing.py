@@ -8,6 +8,7 @@ from ramarrow.arrowing import (
     DeletionFamily,
     IndeterminateError,
     NotFoundWithinBoundError,
+    all_free_colorings,
     arrows,
     critical_number,
     enumerate_copies,
@@ -15,7 +16,6 @@ from ramarrow.arrowing import (
     ramsey_number,
 )
 from ramarrow.coloring import BLUE, RED, monochromatic_subgraph
-from ramarrow.constructions import all_free_colorings
 from ramarrow.containment import (
     BookT,
     Clique,
@@ -130,10 +130,12 @@ def test_deterministic_counterexample_is_lex_least():
                 continue
             free.append([bits >> e & 1 for e in range(m)])
         checked += 1
+        listed = [c.assignment for c in all_free_colorings(host, red, blue)]
+        assert listed == sorted(free)
         if result.verdict == "arrows":
-            assert not free
+            assert not listed
         else:
-            assert min(free) == result.counterexample.assignment
+            assert listed[0] == result.counterexample.assignment
 
 
 def test_arrows_agrees_with_naive_enumeration():

@@ -93,6 +93,33 @@ def test_exit_code_dimacs_past_copy_cap(tmp_path, capsys, monkeypatch):
     assert not cnf.exists()
 
 
+def test_exit_code_unwritable_witness_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "w.json"
+    code, out, err = run_cli(
+        capsys, "arrows", "--host", "K4", "--red", "M2", "--blue", "M2", "--emit-witness", str(path)
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"usage error: --emit-witness: cannot write {path}: No such file or directory\n"
+
+
+def test_exit_code_unwritable_dimacs_path(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "arrows", "--host", "K4", "--red", "M2", "--blue", "M2", "--dimacs", str(tmp_path)
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"usage error: --dimacs: cannot write {tmp_path}: Is a directory\n"
+
+
+def test_exit_code_unwritable_report_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "verify-paper", "--only", "witness-sweep", "--out", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == f"usage error: --out: cannot write {path}: No such file or directory\n"
+
+
 def test_exit_code_internal_error(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("engine fault")
