@@ -306,20 +306,17 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
     except CopyCapError:
         stats.propagation_mode = "learned"
         copies = [None, None]
+    # an edgeless target that fits is in every color class, so no coloring is free
+    if any(not p.edge_count and p.order <= n for p in map(_pattern, targets)):
+        return
     occ = ([[] for _ in range(m)], [[] for _ in range(m)])
     learning = copies[RED] is None
     if learning:
-        # an edgeless target has no copy through an edge; one that fits is in every class
-        empty = Graph._raw(n, (0,) * n)
-        if any(contains_target(empty, t) for t in targets):
-            return
         index = host.edge_index
     else:
         for forbid in (RED, BLUE):
             lists = occ[forbid]
             for mask in copies[forbid]:
-                if not mask:
-                    return  # an edgeless copy is violated by every coloring
                 rest = mask
                 while rest:
                     e = rest.bit_length() - 1
@@ -377,7 +374,7 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
         return oi
 
     # one-edge copies fix their edge before any decision
-    state = (0, 0, empty.adj, empty.adj) if learning else (0, 0)
+    state = (0, 0, (0,) * n, (0,) * n) if learning else (0, 0)
     for forbid in (RED, BLUE):
         for mask in copies[forbid] or ():
             if not mask & (mask - 1):
@@ -573,12 +570,7 @@ def result_to_json(host_label: str, red: TargetKind, blue: TargetKind, result: A
 # DIMACS export
 
 
-def export_dimacs(
-    host: Graph,
-    red: TargetKind,
-    blue: TargetKind,
-    copy_cap: int = DEFAULT_COPY_CAP,
-) -> str:
+def export_dimacs(host: Graph, red: TargetKind, blue: TargetKind) -> str:
     """CNF whose satisfying assignments are exactly the free colorings.
 
     One variable per host edge in canonical order (positive literal = red);
@@ -586,8 +578,8 @@ def export_dimacs(
     blue-target copy an all-positive clause.  The formula is satisfiable
     iff the host does NOT arrow.
     """
-    red_copies = enumerate_copies(host, red, copy_cap)
-    blue_copies = enumerate_copies(host, blue, copy_cap)
+    red_copies = enumerate_copies(host, red, DEFAULT_COPY_CAP)
+    blue_copies = enumerate_copies(host, blue, DEFAULT_COPY_CAP)
     lines = [
         "c arrowing CNF: satisfiable iff the host admits a free coloring",
         f"c host: {host.order} vertices, {host.edge_count} edges",

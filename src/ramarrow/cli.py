@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -98,18 +99,28 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _write(path: str, flag: str, text: str) -> None:
+def _write(path: str, flag: str, text: str | None) -> None:
+    """Write text to path; with text None, only check that path can be written.
+
+    The check appends nothing to an existing file and removes a file it made."""
+    existed = os.path.exists(path)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "a" if text is None else "w", encoding="utf-8") as fh:
+            if text is not None:
+                fh.write(text)
     except OSError as exc:
         raise _UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
+    if text is None and not existed:
+        os.remove(path)
 
 
 def _cmd_arrows(args) -> int:
     host = realize(parse_spec(args.host))
     red = parse_spec(args.red)
     blue = parse_spec(args.blue)
+    for path, flag in ((args.dimacs, "--dimacs"), (args.emit_witness, "--emit-witness")):
+        if path:
+            _write(path, flag, None)
     if args.dimacs:
         try:
             cnf = export_dimacs(host, red, blue)
@@ -226,6 +237,8 @@ def _cmd_verify(args) -> int:
         unknown = only - set(check_names())
         if unknown:
             raise _UsageError(f"unknown check names: {', '.join(sorted(unknown))}")
+    if args.out:
+        _write(args.out, "--out", None)
     t0 = time.perf_counter()
     budget = args.budget if args.budget is not None else 10**8
     report = run_verification(level=args.level, only=only, budget=budget)

@@ -137,14 +137,9 @@ def canonical_coloring_key(coloring: Coloring) -> tuple[int, ...]:
     """
     if not coloring.is_complete:
         raise ValueError("canonical form is defined for complete colorings")
-    host = coloring.host
-    n = host.order
-    red_rows = [0] * n
-    blue_rows = [0] * n
-    for (u, v), c in zip(host.edges, coloring.assignment):
-        rows = red_rows if c == RED else blue_rows
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+    n = coloring.host.order
+    red_rows = monochromatic_subgraph(coloring, RED).adj
+    blue_rows = monochromatic_subgraph(coloring, BLUE).adj
 
     def refine(cells: list[list[int]]) -> list[list[int]]:
         while True:

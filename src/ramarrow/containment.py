@@ -68,33 +68,6 @@ def _pattern(target: TargetKind) -> Graph:
 # Matchings
 
 
-def max_matching_size(g: Graph) -> int:
-    """Exact maximum matching cardinality (memoized branching; hosts are tiny)."""
-    adj = g.adj
-    memo: dict[int, int] = {}
-
-    def best(mask: int) -> int:
-        if mask == 0:
-            return 0
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        low = mask & -mask
-        rest = mask ^ low
-        result = best(rest)  # lowest vertex left unmatched
-        nbrs = adj[low.bit_length() - 1] & rest
-        while nbrs:
-            ulow = nbrs & -nbrs
-            nbrs ^= ulow
-            r = 1 + best(rest ^ ulow)
-            if r > result:
-                result = r
-        memo[mask] = result
-        return result
-
-    return best((1 << g.order) - 1)
-
-
 def _matching_within(adj, mask: int, need: int) -> list[tuple[int, int]] | None:
     """`need` disjoint edges on the vertices in mask, or None."""
     if need == 0:
@@ -122,31 +95,16 @@ def _has_matching(g: Graph, size: int) -> bool:
     return _matching_within(g.adj, (1 << g.order) - 1, size) is not None
 
 
+def max_matching_size(g: Graph) -> int:
+    """The least k with no matching of k + 1 edges."""
+    k = 0
+    while _has_matching(g, k + 1):
+        k += 1
+    return k
+
+
 # ---------------------------------------------------------------------------
 # Cliques
-
-
-def max_clique_size(g: Graph) -> int:
-    """Branch and bound over candidate bitsets."""
-    adj = g.adj
-    best = 0
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        if size + cand.bit_count() <= best:
-            return
-        if cand == 0:
-            best = size
-            return
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            low = cand & -cand
-            cand ^= low
-            expand(adj[low.bit_length() - 1] & cand, size + 1)
-
-    expand((1 << g.order) - 1, 0)
-    return best
 
 
 def _clique_within(adj, cand: int, need: int) -> int | None:
@@ -166,6 +124,14 @@ def _clique_within(adj, cand: int, need: int) -> int | None:
 
 def _has_clique(g: Graph, size: int) -> bool:
     return _clique_within(g.adj, (1 << g.order) - 1, size) is not None
+
+
+def max_clique_size(g: Graph) -> int:
+    """The least k with no clique on k + 1 vertices."""
+    k = 0
+    while _has_clique(g, k + 1):
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -77,23 +77,13 @@ def _k_colorable(g: Graph, k: int) -> bool:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chi via backtracking between a clique lower and greedy upper bound."""
+    """Exact chi: the least k-colorable k from the clique number up (k = order always is)."""
     if g.order > 20:
         raise ValueError(f"chromatic_number supports at most 20 vertices, got {g.order}")
-    lower = max_clique_size(g)
-    # greedy upper bound on a descending-degree order
-    colors: dict[int, int] = {}
-    for v in sorted(range(g.order), key=g.degree, reverse=True):
-        taken = {colors[u] for u in g.neighbors(v) if u in colors}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-    upper = max(colors.values()) + 1
-    for k in range(lower, upper):
-        if _k_colorable(g, k):
-            return k
-    return upper
+    k = max_clique_size(g)
+    while not _k_colorable(g, k):
+        k += 1
+    return k
 
 
 def chromatic_surplus(g: Graph) -> int:

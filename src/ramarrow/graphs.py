@@ -455,7 +455,7 @@ def parse_spec(text: str) -> GraphSpec:
 
 
 _PRECEDENCE = {Union: 0, Join: 1, Minus: 2, Copies: 3}
-_LEAF_LETTER = {Complete: "K", Path: "P", Star: "S", Book: "B", Fan: "F", Matching: "M", Empty: "E"}
+_LEAF_LETTER = {cls: letter for letter, cls in _LEAVES.items()}
 
 
 def spec_to_text(spec: GraphSpec) -> str:

@@ -124,6 +124,14 @@ def naive_max_matching(g: Graph) -> int:
     return best
 
 
+def chromatic_by_enumeration(g: Graph) -> int:
+    """The least k with a proper k-coloring, by trying every map to k colors."""
+    k = 0
+    while not any(all(c[u] != c[v] for u, v in g.edges) for c in product(range(k), repeat=g.order)):
+        k += 1
+    return k
+
+
 def surplus_by_enumeration(g: Graph, chi: int) -> int:
     """Minimum class size over all proper chi-colorings, by full enumeration."""
     best = g.order

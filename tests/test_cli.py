@@ -79,10 +79,7 @@ def test_exit_code_max_r_below_one(capsys):
 
 def test_exit_code_dimacs_past_copy_cap(tmp_path, capsys, monkeypatch):
     # the real export at a small cap stands in for K30 -> (K10, K10) at the default cap
-    monkeypatch.setattr(
-        cli, "export_dimacs",
-        lambda host, red, blue: arrowing.export_dimacs(host, red, blue, copy_cap=5),
-    )
+    monkeypatch.setattr(arrowing, "DEFAULT_COPY_CAP", 5)
     cnf = tmp_path / "x.cnf"
     code, out, err = run_cli(
         capsys, "arrows", "--host", "K6", "--red", "K3", "--blue", "K3", "--dimacs", str(cnf)
@@ -118,6 +115,36 @@ def test_exit_code_unwritable_report_path(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err == f"usage error: --out: cannot write {path}: No such file or directory\n"
+
+
+def test_unwritable_paths_fail_before_the_run(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "arrows", never)
+    monkeypatch.setattr(cli, "run_verification", never)
+    path = tmp_path / "missing" / "out.json"
+    for argv, flag in (
+        (["arrows", "--host", "K6", "--red", "K3", "--blue", "K3", "--emit-witness"], "--emit-witness"),
+        (["verify-paper", "--out"], "--out"),
+    ):
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"usage error: {flag}: cannot write {path}: No such file or directory\n"
+
+
+def test_witness_path_check_keeps_files(tmp_path, capsys):
+    fresh = tmp_path / "fresh.json"
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    for path in (fresh, kept):
+        code, _, _ = run_cli(
+            capsys, "arrows", "--host", "K6", "--red", "K3", "--blue", "K3", "--emit-witness", str(path)
+        )
+        assert code == 0
+    assert not fresh.exists()
+    assert kept.read_text() == "old\n"
 
 
 def test_exit_code_internal_error(capsys, monkeypatch):
@@ -248,6 +275,14 @@ def test_verify_single_check(capsys):
     assert report["passed"] is True
     assert [c["name"] for c in report["checks"]] == ["star-clique-critical"]
     assert report["checks"][0]["status"] == "pass"
+
+
+def test_verify_quick_output_is_pinned():
+    # every check's status and detail; regenerate the file only for a deliberate change
+    report = run_verification(level="quick")
+    for check in report["checks"]:
+        del check["runtime_ms"]
+    assert report == json.loads((DATA / "verify_quick.json").read_text())
 
 
 def test_verify_full_level_stretch_skips_on_budget(capsys):

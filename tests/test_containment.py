@@ -53,15 +53,15 @@ def test_max_matching_examples():
 
 def test_max_matching_against_edge_subset_oracle():
     rng = random.Random(6)
-    for _ in range(80):
-        g = oracles.random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.8))
+    drawn = [oracles.random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.8)) for _ in range(80)]
+    for g in drawn + [realize(Empty(1)), realize(Empty(5))]:
         assert max_matching_size(g) == oracles.naive_max_matching(g)
 
 
 def test_max_clique_against_brute():
     rng = random.Random(7)
-    for _ in range(80):
-        g = oracles.random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.9))
+    drawn = [oracles.random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.9)) for _ in range(80)]
+    for g in drawn + [realize(Empty(1)), realize(Empty(5))]:
         best = max(
             m for m in range(1, g.order + 1) if oracles.brute_contains(g, realize(Complete(m)))
         )

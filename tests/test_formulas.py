@@ -57,6 +57,7 @@ def test_chromatic_surplus_matches_full_enumeration():
         for bits in range(1 << len(pairs)):
             g = Graph.from_edges(order, [e for i, e in enumerate(pairs) if bits >> i & 1])
             chi = chromatic_number(g)
+            assert chi == oracles.chromatic_by_enumeration(g)
             assert chromatic_surplus(g) == oracles.surplus_by_enumeration(g, chi)
     rng = random.Random(19)
     for _ in range(120):
