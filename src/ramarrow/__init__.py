@@ -25,7 +25,7 @@ from .graphs import (
     stats,
     longest_path_order,
 )
-from .coloring import RED, BLUE, UNASSIGNED, Coloring, monochromatic_subgraph, colored_degree
+from .coloring import RED, BLUE, Coloring, monochromatic_subgraph, colored_degree
 from .containment import (
     Generic,
     TargetKind,

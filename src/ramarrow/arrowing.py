@@ -12,10 +12,10 @@ propagation on those bitmasks: the search state is one red and one blue
 edge mask, so backtracking restores two ints.  When the copies pass the
 copy cap, the same search learns its clauses instead: each newly colored
 edge asks for a copy through it in its color class, and a copy found is a
-conflict and a new clause.  The generator yields each complete free
-coloring it reaches; arrows takes the first (exhausting the space proves
-arrowing, and a coloring is re-verified before it is returned as a
-counterexample), and all_free_colorings takes them all.
+conflict and a new clause.  The generator yields the red edge mask of
+each complete free coloring it reaches; arrows takes the first (exhausting
+the space proves arrowing, and a coloring is re-verified before it is
+returned as a counterexample), and all_free_colorings takes them all.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def _branch_order(host: Graph, deterministic: bool) -> list[int]:
 
 def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
                     copy_cap=DEFAULT_COPY_CAP):
-    """Yield each complete free coloring of the host as an assignment list, in DFS order.
+    """Yield each free coloring of the host as its red edge mask, in DFS order.
 
     An explicit-stack DFS over the edges in branch order, with unit
     propagation over copy clauses held as edge bitmasks.  The state is the
@@ -395,7 +395,7 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
     while True:
         if oi == m:
             stats.nodes = nodes
-            yield [RED if state[RED] & b else BLUE for b in bit]
+            yield state[RED]
         else:
             nodes += 1
             if budget is not None and nodes > budget:
@@ -419,10 +419,9 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
             return
 
 
-def _verify_counterexample(host: Graph, assignment, red: TargetKind, blue: TargetKind) -> Coloring:
-    col = Coloring(host, assignment)
-    if not col.is_complete:
-        raise RuntimeError("search returned an incomplete counterexample")
+def _verify_counterexample(host: Graph, red_mask: int, red: TargetKind,
+                           blue: TargetKind) -> Coloring:
+    col = Coloring(host, red_mask)
     if contains_target(monochromatic_subgraph(col, RED), red):
         raise RuntimeError("counterexample re-check failed: red side contains the red target")
     if contains_target(monochromatic_subgraph(col, BLUE), blue):
@@ -470,7 +469,7 @@ def all_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> list[C
         )
     order = _branch_order(host, deterministic=True)
     search = _free_colorings(host, red, blue, SearchStats(), order=order, symmetric=False)
-    return [Coloring(host, a) for a in search]
+    return [Coloring(host, mask) for mask in search]
 
 
 # ---------------------------------------------------------------------------

@@ -92,11 +92,15 @@ def _build_parser() -> _Parser:
 
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        print(json.dumps(report, indent=2) if as_json else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): drop the rest, here and
+        # at the interpreter's final flush, and keep the command's exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _write(path: str, flag: str, text: str | None) -> None:

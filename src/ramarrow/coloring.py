@@ -1,114 +1,78 @@
-"""Red/blue edge colorings over a host graph's canonical edge order."""
+"""Red/blue edge colorings of a host graph, held as one red edge mask over
+its canonical edge order."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .graphs import Graph
 
 RED = 0
 BLUE = 1
-UNASSIGNED = -1
-
-_LETTER = {RED: "R", BLUE: "B"}
-_COLOR = {"R": RED, "B": BLUE}
 
 
+@dataclass(frozen=True, slots=True)
 class Coloring:
-    """Mutable edge coloring of a host graph.
+    """Immutable red/blue coloring of every edge of a host graph.
 
-    Colors are stored per canonical edge index (lexicographic on the edge's
-    endpoint pair), so counterexamples and exported CNF variables line up.
-    Only host edges carry a color state; a coloring is complete when no edge
-    is left unassigned.
+    red is an edge mask: bit i is set when host edge i (canonical order,
+    lexicographic on the edge's endpoint pair) is red, and every other host
+    edge is blue, so counterexamples and exported CNF variables line up.
     """
 
-    __slots__ = ("host", "assignment")
+    host: Graph
+    red: int
 
-    def __init__(self, host: Graph, assignment=None):
-        m = host.edge_count
-        if assignment is None:
-            assignment = [UNASSIGNED] * m
-        else:
-            assignment = list(assignment)
-            if len(assignment) != m:
-                raise ValueError(f"expected {m} edge colors, got {len(assignment)}")
-            for c in assignment:
-                if c not in (RED, BLUE, UNASSIGNED):
-                    raise ValueError(f"invalid edge color {c!r}")
-        self.host = host
-        self.assignment = assignment
-
-    def copy(self) -> "Coloring":
-        return Coloring(self.host, self.assignment)
-
-    def _index(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        idx = self.host.edge_index.get(key)
-        if idx is None:
-            raise ValueError(f"({u},{v}) is not an edge of the host")
-        return idx
-
-    def set(self, u: int, v: int, color: int) -> None:
-        if color not in (RED, BLUE, UNASSIGNED):
-            raise ValueError(f"invalid edge color {color!r}")
-        self.assignment[self._index(u, v)] = color
-
-    def get(self, u: int, v: int) -> int:
-        return self.assignment[self._index(u, v)]
-
-    @property
-    def is_complete(self) -> bool:
-        return UNASSIGNED not in self.assignment
+    def __post_init__(self):
+        if type(self.red) is not int:
+            raise TypeError(f"red edge mask must be an int, got {type(self.red).__name__}")
+        if self.red < 0 or self.red >> self.host.edge_count:
+            raise ValueError(f"red edge mask {self.red} is not a set of the host's "
+                             f"{self.host.edge_count} edges")
 
     def edge_triples(self) -> list[list]:
-        """JSON form: [u, v, "R"|"B"] per assigned edge, unassigned omitted."""
-        out = []
-        for (u, v), c in zip(self.host.edges, self.assignment):
-            if c != UNASSIGNED:
-                out.append([u, v, _LETTER[c]])
-        return out
+        """JSON form: [u, v, "R"|"B"] per host edge, in canonical order."""
+        red = self.red
+        return [[u, v, "R" if red >> i & 1 else "B"] for i, (u, v) in enumerate(self.host.edges)]
 
     @classmethod
     def from_edge_triples(cls, host: Graph, triples) -> "Coloring":
-        col = cls(host)
+        """Inverse of edge_triples: every host edge must appear exactly once."""
+        seen = red = 0
         for u, v, letter in triples:
-            if letter not in _COLOR:
+            i = host.edge_index.get((u, v) if u < v else (v, u))
+            if i is None:
+                raise ValueError(f"({u},{v}) is not an edge of the host")
+            if letter not in ("R", "B"):
                 raise ValueError(f"invalid color letter {letter!r}")
-            col.set(u, v, _COLOR[letter])
-        return col
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Coloring)
-            and self.host == other.host
-            and self.assignment == other.assignment
-        )
-
-    def __repr__(self):
-        reds = self.assignment.count(RED)
-        blues = self.assignment.count(BLUE)
-        return f"Coloring(host={self.host!r}, red={reds}, blue={blues})"
+            if seen >> i & 1:
+                raise ValueError(f"edge ({u},{v}) is colored twice")
+            seen |= 1 << i
+            if letter == "R":
+                red |= 1 << i
+        missing = host.edge_count - seen.bit_count()
+        if missing:
+            raise ValueError(f"{missing} host edges have no color")
+        return cls(host, red)
 
 
 def monochromatic_subgraph(coloring: Coloring, color: int) -> Graph:
     """Graph on the host's vertex set with exactly the edges of one color."""
     if color not in (RED, BLUE):
         raise ValueError("monochromatic_subgraph expects RED or BLUE")
-    rows = [0] * coloring.host.order
-    for (u, v), c in zip(coloring.host.edges, coloring.assignment):
-        if c == color:
+    host = coloring.host
+    want = "1" if color == RED else "0"
+    rows = [0] * host.order
+    # the mask's binary digits, edge 0 first
+    for (u, v), bit in zip(host.edges, f"{coloring.red:0{host.edge_count}b}"[::-1]):
+        if bit == want:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return Graph._raw(coloring.host.order, tuple(rows))
+    return Graph._raw(host.order, tuple(rows))
 
 
 def colored_degree(coloring: Coloring, v: int, color: int) -> int:
-    """Number of edges of the given color (or UNASSIGNED) incident to v."""
+    """Number of edges of the given color (RED or BLUE) incident to v."""
     if not 0 <= v < coloring.host.order:
         raise ValueError(f"vertex {v} out of range")
-    if color not in (RED, BLUE, UNASSIGNED):
-        raise ValueError(f"invalid edge color {color!r}")
-    count = 0
-    for u in coloring.host.neighbors(v):
-        if coloring.get(v, u) == color:
-            count += 1
-    return count
+    return monochromatic_subgraph(coloring, color).degree(v)

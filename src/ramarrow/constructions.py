@@ -35,6 +35,15 @@ class WitnessReport:
     parameters: dict
 
 
+def _block_coloring(host: Graph, block) -> Coloring:
+    """Red inside a block and blue between blocks; block[v] names v's block."""
+    red = 0
+    for e, (u, v) in enumerate(host.edges):
+        if block[u] == block[v]:
+            red |= 1 << e
+    return Coloring(host, red)
+
+
 def block_coloring_witness(G: GraphSpec, H: GraphSpec, r: int) -> WitnessReport:
     """Free coloring of K_r minus a path on t*n vertices.
 
@@ -61,10 +70,7 @@ def block_coloring_witness(G: GraphSpec, H: GraphSpec, r: int) -> WitnessReport:
     block = []
     for b, size in enumerate(sizes):
         block.extend([b] * size)
-
-    coloring = Coloring(host)
-    for u, v in host.edges:
-        coloring.set(u, v, RED if block[u] == block[v] else BLUE)
+    coloring = _block_coloring(host, block)
 
     red_free = not contains_target(monochromatic_subgraph(coloring, RED), G)
     blue_free = not contains_target(monochromatic_subgraph(coloring, BLUE), H)
@@ -99,10 +105,7 @@ def odd_clique_pair(n: int, i: int) -> Coloring:
         raise ValueError(f"index {i} outside 0..{top}")
     host = realize(Complete(2 * n))
     split = 2 * i + 1
-    coloring = Coloring(host)
-    for u, v in host.edges:
-        same_side = (u < split) == (v < split)
-        coloring.set(u, v, RED if same_side else BLUE)
+    coloring = _block_coloring(host, [v < split for v in range(host.order)])
     if contains_target(monochromatic_subgraph(coloring, RED), Matching(n)):
         raise RuntimeError("odd clique pair has a red perfect matching; construction bug")
     if contains_target(monochromatic_subgraph(coloring, BLUE), Complete(3)):
@@ -132,11 +135,9 @@ def enumerate_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> 
 def canonical_coloring_key(coloring: Coloring) -> tuple[int, ...]:
     """Complete invariant for colored-graph isomorphism on one host.
 
-    Two complete colorings get equal keys iff some vertex relabeling maps
-    host edges to host edges preserving edge colors.
+    Two colorings get equal keys iff some vertex relabeling maps host edges
+    to host edges preserving edge colors.
     """
-    if not coloring.is_complete:
-        raise ValueError("canonical form is defined for complete colorings")
     n = coloring.host.order
     red_rows = monochromatic_subgraph(coloring, RED).adj
     blue_rows = monochromatic_subgraph(coloring, BLUE).adj

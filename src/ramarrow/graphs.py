@@ -20,6 +20,11 @@ class Graph6Error(ValueError):
     """Malformed graph6 text."""
 
 
+def _check_order(order: int) -> None:
+    if not 1 <= order <= MAX_ORDER:
+        raise SpecError(f"graph order must be in 1..{MAX_ORDER}, got {order}")
+
+
 class Graph:
     """Immutable simple undirected graph with bitmask adjacency rows."""
 
@@ -27,8 +32,7 @@ class Graph:
 
     def __init__(self, order: int, adj):
         adj = tuple(adj)
-        if not 1 <= order <= MAX_ORDER:
-            raise SpecError(f"graph order must be in 1..{MAX_ORDER}, got {order}")
+        _check_order(order)
         if len(adj) != order:
             raise SpecError("adjacency row count does not match order")
         full = (1 << order) - 1
@@ -58,6 +62,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, order: int, edges) -> "Graph":
+        _check_order(order)
         rows = [0] * order
         for u, v in edges:
             if not (0 <= u < order and 0 <= v < order):

@@ -97,7 +97,6 @@ def test_arrows_k4_matchings_counterexample():
     result = arrows(realize(Complete(4)), MatchingT(2), MatchingT(2), deterministic=True)
     assert result.verdict == "counterexample"
     col = result.counterexample
-    assert col.is_complete
     assert not contains_target(monochromatic_subgraph(col, RED), MatchingT(2))
     assert not contains_target(monochromatic_subgraph(col, BLUE), MatchingT(2))
     # lexicographically least free assignment: red star at vertex 0
@@ -130,12 +129,14 @@ def test_deterministic_counterexample_is_lex_least():
                 continue
             free.append([bits >> e & 1 for e in range(m)])
         checked += 1
-        listed = [c.assignment for c in all_free_colorings(host, red, blue)]
-        assert listed == sorted(free)
+        # lexicographic on the colors in canonical edge order, red (0) below blue (1)
+        lex_least_first = [sum(1 << e for e in range(m) if not a[e]) for a in sorted(free)]
+        listed = [c.red for c in all_free_colorings(host, red, blue)]
+        assert listed == lex_least_first
         if result.verdict == "arrows":
             assert not listed
         else:
-            assert listed[0] == result.counterexample.assignment
+            assert listed[0] == result.counterexample.red
 
 
 def test_arrows_agrees_with_naive_enumeration():
@@ -216,7 +217,7 @@ def test_capped_counterexample_is_lex_least():
             capped = arrows(host, red, blue, deterministic=deterministic, copy_cap=0)
             assert capped.verdict == full.verdict, (host, red, blue)
             if full.counterexample is not None:
-                assert capped.counterexample.assignment == full.counterexample.assignment, (
+                assert capped.counterexample.red == full.counterexample.red, (
                     host, red, blue, deterministic,
                 )
 
@@ -287,10 +288,9 @@ def test_engine_output_is_pinned():
 
     colorings = all_free_colorings(realize(Complete(6)), Clique(3), Clique(4))
     assert len(colorings) == 2812
-    assert colorings[0].assignment == [RED, RED, RED, BLUE, BLUE, BLUE, BLUE, RED,
-                                       RED, BLUE, RED, RED, RED, RED, BLUE]
-    assert colorings[-1].assignment == [BLUE, BLUE, BLUE, BLUE, BLUE, BLUE, BLUE, RED,
-                                        RED, RED, BLUE, RED, RED, BLUE, BLUE]
+    # bit i of red is host edge i (canonical order), so edge 0 is the lowest bit
+    assert colorings[0].red == 0b011110110000111
+    assert colorings[-1].red == 0b001101110000000
 
 
 @pytest.mark.parametrize(
@@ -306,7 +306,6 @@ def test_search_depth_is_not_bounded_by_recursion(target, copy_cap, mode, nodes)
         "counterexample", mode, nodes,
     )
     col = result.counterexample
-    assert col.is_complete
     assert not contains_target(monochromatic_subgraph(col, RED), target)
     assert not contains_target(monochromatic_subgraph(col, BLUE), target)
 

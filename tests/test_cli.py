@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import ramarrow.arrowing as arrowing
 import ramarrow.cli as cli
 import ramarrow.containment as containment
@@ -158,10 +160,14 @@ def test_exit_code_internal_error(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: engine fault\n"
 
 
-def test_python_dash_m_entry_point():
+def _subprocess_env() -> dict:
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_python_dash_m_entry_point():
+    env = _subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-m", "ramarrow", "arrows", "--host", "K6", "--red", "K3", "--blue", "K3"],
         capture_output=True, text=True, env=env, timeout=120,
@@ -171,15 +177,31 @@ def test_python_dash_m_entry_point():
 
 
 def test_package_imports_without_numpy():
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = _subprocess_env()
     code = "import sys, ramarrow, ramarrow.oracles; print('numpy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_the_exit_code(unbuffered):
+    # the reader is gone before the report is written, as with `| head` on a long report
+    env = _subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ramarrow", "arrows", "--host", "K4", "--red", "M2", "--blue", "M2",
+         "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (cli.EXIT_FAIL, b"")
 
 
 def test_arrows_deep_host_counterexample(capsys):

@@ -189,6 +189,15 @@ def test_graph_invariants_on_construction():
         Graph(1, (1,))  # self-loop
 
 
+@pytest.mark.parametrize("order", [0, 65])
+def test_from_edges_checks_order(order):
+    with pytest.raises(SpecError, match="order must be in 1..64"):
+        Graph.from_edges(order, [])
+    with pytest.raises(SpecError, match="order must be in 1..64"):
+        Graph(order, (0,) * order)
+    assert Graph.from_edges(64, [(0, 63)]).edges == ((0, 63),)
+
+
 # --- graph6 ----------------------------------------------------------------
 
 
