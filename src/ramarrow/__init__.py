@@ -36,7 +36,6 @@ from .containment import (
     max_matching_size,
     max_clique_size,
 )
-from .containment import Clique, StarT, PathT, MatchingT, BookT, FanT  # aliases of graph leaves
 from .arrowing import (
     ArrowingResult,
     SearchStats,

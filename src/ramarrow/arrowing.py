@@ -75,7 +75,7 @@ class ArrowingResult:
 class DeletionFamily(Enum):
     """Indexed family of subgraphs deleted from K_r.
 
-    Path and Clique are indexed by vertex count (so PATH matches the
+    PATH and CLIQUE are indexed by vertex count (so PATH matches the
     path-critical definition); MATCHING is indexed by edge count.
     """
 
@@ -419,14 +419,18 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
             return
 
 
-def _verify_counterexample(host: Graph, red_mask: int, red: TargetKind,
-                           blue: TargetKind) -> Coloring:
-    col = Coloring(host, red_mask)
-    if contains_target(monochromatic_subgraph(col, RED), red):
-        raise RuntimeError("counterexample re-check failed: red side contains the red target")
-    if contains_target(monochromatic_subgraph(col, BLUE), blue):
-        raise RuntimeError("counterexample re-check failed: blue side contains the blue target")
-    return col
+def check_free(coloring: Coloring, red: TargetKind, blue: TargetKind) -> Coloring:
+    """Return the coloring after re-checking that neither color class holds its target.
+
+    Raises RuntimeError naming the failing side: a coloring that a search or
+    a construction built as free and that is not is a bug there.
+    """
+    for color, side, target in ((RED, "red", red), (BLUE, "blue", blue)):
+        if contains_target(monochromatic_subgraph(coloring, color), target):
+            raise RuntimeError(
+                f"freeness re-check failed: the {side} side contains {target_label(target)}"
+            )
+    return coloring
 
 
 def arrows(
@@ -458,7 +462,7 @@ def arrows(
         return ArrowingResult("indeterminate", None, stats)
     if found is None:
         return ArrowingResult("arrows", None, stats)
-    return ArrowingResult("counterexample", _verify_counterexample(host, found, red, blue), stats)
+    return ArrowingResult("counterexample", check_free(Coloring(host, found), red, blue), stats)
 
 
 def all_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> list[Coloring]:

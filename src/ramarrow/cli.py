@@ -43,6 +43,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def exit(self, status=0, message=None):
+        _flush_stdout()  # --help has written to stdout
+        super().exit(status, message)
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(
@@ -91,9 +95,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
+def _flush_stdout(text: str | None = None) -> None:
+    """Print text, if any, and flush stdout."""
     try:
-        print(json.dumps(report, indent=2) if as_json else "\n".join(lines))
+        if text is not None:
+            print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (as `| head` does): drop the rest, here and
@@ -101,6 +107,10 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
+    _flush_stdout(json.dumps(report, indent=2) if as_json else "\n".join(lines))
 
 
 def _write(path: str, flag: str, text: str | None) -> None:

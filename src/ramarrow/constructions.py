@@ -1,6 +1,6 @@
 """Explicit witness colorings and the exhaustive free-coloring oracle.
 
-Every construction here re-verifies itself with containment checks before
+Every construction here re-verifies itself with arrowing.check_free before
 returning; a failed check is an implementation bug and aborts loudly.
 """
 
@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass
 
 from . import formulas
-from .arrowing import all_free_colorings
+from .arrowing import all_free_colorings, check_free
 from .coloring import BLUE, RED, Coloring, monochromatic_subgraph
-from .containment import TargetKind, contains_target
+from .containment import TargetKind
 from .graphs import (
     Complete,
     GraphSpec,
@@ -70,24 +70,15 @@ def block_coloring_witness(G: GraphSpec, H: GraphSpec, r: int) -> WitnessReport:
     block = []
     for b, size in enumerate(sizes):
         block.extend([b] * size)
-    coloring = _block_coloring(host, block)
-
-    red_free = not contains_target(monochromatic_subgraph(coloring, RED), G)
-    blue_free = not contains_target(monochromatic_subgraph(coloring, BLUE), H)
-    if not (red_free and blue_free):
-        raise RuntimeError(
-            f"block coloring witness for ({spec_to_text(G)}, {spec_to_text(H)}, r={r}) "
-            "failed its freeness check; this is a construction bug"
-        )
-    report = WitnessReport(
+    coloring = check_free(_block_coloring(host, block), G, H)
+    assert bound == t * n - 1
+    return WitnessReport(
         coloring=coloring,
         host_spec=host_spec,
-        red_free=red_free,
-        blue_free=blue_free,
+        red_free=True,
+        blue_free=True,
         parameters={"k": k, "t": t, "s": s, "r": r, "n": n},
     )
-    assert bound == t * n - 1
-    return report
 
 
 def odd_clique_pair(n: int, i: int) -> Coloring:
@@ -105,12 +96,8 @@ def odd_clique_pair(n: int, i: int) -> Coloring:
         raise ValueError(f"index {i} outside 0..{top}")
     host = realize(Complete(2 * n))
     split = 2 * i + 1
-    coloring = _block_coloring(host, [v < split for v in range(host.order)])
-    if contains_target(monochromatic_subgraph(coloring, RED), Matching(n)):
-        raise RuntimeError("odd clique pair has a red perfect matching; construction bug")
-    if contains_target(monochromatic_subgraph(coloring, BLUE), Complete(3)):
-        raise RuntimeError("odd clique pair has a blue triangle; construction bug")
-    return coloring
+    return check_free(_block_coloring(host, [v < split for v in range(host.order)]),
+                      Matching(n), Complete(3))
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,6 @@ from itertools import combinations
 from . import graphs
 from .graphs import Book, Complete, Fan, Graph, GraphSpec, Matching, Path, Star, realize
 
-# The target names of the detected leaf families, kept as aliases.
-Clique = Complete
-StarT = Star
-PathT = Path
-MatchingT = Matching
-BookT = Book
-FanT = Fan
-
 
 @dataclass(frozen=True)
 class Generic:

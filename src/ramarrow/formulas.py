@@ -179,45 +179,59 @@ _ALIASES = (
 )
 
 
-def _param(spec: GraphSpec, family: type) -> int | None:
-    """k such that family(k) is the same graph as spec, or None."""
-    row = next((row for row in _ALIASES if spec in row), (spec,))
-    for leaf in row:
+def _spellings(spec: GraphSpec) -> tuple[GraphSpec, ...]:
+    """The row of _ALIASES that holds spec, or spec alone."""
+    return next((row for row in _ALIASES if spec in row), (spec,))
+
+
+def _param(spellings: tuple[GraphSpec, ...], family: type) -> int | None:
+    """k such that family(k) is one of the spellings, or None."""
+    for leaf in spellings:
         if isinstance(leaf, family):
             return leaf.n if hasattr(leaf, "n") else leaf.m
     return None
 
 
 # ---------------------------------------------------------------------------
-# Known Ramsey numbers
+# The catalog: one row per family pair, (source, G family, H family, R, R_pi).
+# R and R_pi take the two family parameters and return None outside their
+# validity range; a lookup takes the first row that answers, with the pair
+# in either order since R(G,H) = R(H,G).
+
+_CATALOG = (
+    ("star-clique", Star, Complete,
+     lambda n, m: n * (m - 1) + 1 if m >= 2 else None,
+     lambda n, m: n if m >= 2 and n >= 2 else None),
+    ("star-star", Star, Star,
+     lambda n, m: n + m - 1 if n % 2 == m % 2 == 0 else n + m,
+     lambda n, m: None if n + m < 3 else 0 if n % 2 == m % 2 == 0 else n + m - 1),
+    ("star-book", Star, Book,
+     lambda n, m: 2 * n + 1 if m >= 2 and n >= 3 * m - 4 else None,
+     lambda n, m: n if m >= 2 and n >= 3 * m + 2 else None),
+    ("star-path", Star, Path,
+     lambda n, m: m if m >= 2 * n + 1 else None,
+     lambda n, m: m if m >= 2 * n + 3 else None),
+    ("fan-triangle", Fan, Complete,
+     lambda n, m: 4 * n + 1 if n >= 2 and m == 3 else None,
+     lambda n, m: 2 * n if n >= 2 and m == 3 else None),
+    ("matching-triangle", Matching, Complete,
+     lambda n, m: 2 * n + 1 if n >= 2 and m == 3 else None,
+     lambda n, m: None),
+    ("matching-matching", Matching, Matching,
+     lambda n, m: 2 * m + n - 1 if m >= n else None,
+     lambda n, m: 2 * m + n - 1 if m >= n and m >= 2 else None),
+)
 
 
-def _match_known(a: GraphSpec, b: GraphSpec) -> KnownValue | None:
-    ns = _param(a, Star)
-    if ns is not None:
-        m = _param(b, Complete)
-        if m is not None and m >= 2:
-            return KnownValue(ns * (m - 1) + 1, "star-clique")
-        nb = _param(b, Star)
-        if nb is not None:
-            eps = 1 if ns % 2 == 0 and nb % 2 == 0 else 0
-            return KnownValue(ns + nb - eps, "star-star")
-        mb = _param(b, Book)
-        if mb is not None and mb >= 2 and ns >= 3 * mb - 4:
-            return KnownValue(2 * ns + 1, "star-book")
-        np_ = _param(b, Path)
-        if np_ is not None and np_ >= 2 * ns + 1:
-            return KnownValue(np_, "star-path")
-    nf = _param(a, Fan)
-    if nf is not None and nf >= 2 and _param(b, Complete) == 3:
-        return KnownValue(4 * nf + 1, "fan-triangle")
-    nm = _param(a, Matching)
-    if nm is not None and nm >= 2 and _param(b, Complete) == 3:
-        return KnownValue(2 * nm + 1, "matching-triangle")
-    ma = _param(a, Matching)
-    mb = _param(b, Matching)
-    if ma is not None and mb is not None and mb >= ma >= 1:
-        return KnownValue(2 * mb + ma - 1, "matching-matching")
+def _lookup(red: GraphSpec, blue: GraphSpec, column: int, prefix: str) -> KnownValue | None:
+    spellings = _spellings(red), _spellings(blue)
+    for a, b in (spellings, spellings[::-1]):
+        for source, g_family, h_family, *values in _CATALOG:
+            n, m = _param(a, g_family), _param(b, h_family)
+            if n is not None and m is not None:
+                value = values[column](n, m)
+                if value is not None:
+                    return KnownValue(value, prefix + source)
     return None
 
 
@@ -226,53 +240,14 @@ def known_ramsey(red: GraphSpec, blue: GraphSpec) -> KnownValue | None:
 
     The star-star entry is classical background (re-verified by search for
     small parameters); the rest are the exact families the closed forms
-    build on.  Pairs are matched in either order since R(G,H) = R(H,G).
+    build on.
     """
-    for a, b in ((red, blue), (blue, red)):
-        value = _match_known(a, b)
-        if value is not None:
-            return value
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Closed-form path-critical numbers
-
-
-def _match_critical(a: GraphSpec, b: GraphSpec) -> KnownValue | None:
-    ns = _param(a, Star)
-    if ns is not None:
-        m = _param(b, Complete)
-        if m is not None and m >= 2 and ns >= 2:
-            return KnownValue(ns, "path-critical star-clique")
-        nb = _param(b, Star)
-        if nb is not None and ns + nb >= 3:
-            if ns % 2 == 0 and nb % 2 == 0:
-                return KnownValue(0, "path-critical star-star")
-            return KnownValue(ns + nb - 1, "path-critical star-star")
-        mb = _param(b, Book)
-        if mb is not None and mb >= 2 and ns >= 3 * mb + 2:
-            return KnownValue(ns, "path-critical star-book")
-        np_ = _param(b, Path)
-        if np_ is not None and np_ >= 2 * ns + 3:
-            return KnownValue(np_, "path-critical star-path")
-    nf = _param(a, Fan)
-    if nf is not None and nf >= 2 and _param(b, Complete) == 3:
-        return KnownValue(2 * nf, "path-critical fan-triangle")
-    ma = _param(a, Matching)
-    mb = _param(b, Matching)
-    if ma is not None and mb is not None and mb >= ma >= 1 and mb >= 2:
-        return KnownValue(2 * mb + ma - 1, "path-critical matching-matching")
-    return None
+    return _lookup(red, blue, 0, "")
 
 
 def closed_form_path_critical(red: GraphSpec, blue: GraphSpec) -> KnownValue | None:
     """Cataloged path-critical Ramsey number, when the parameters qualify."""
-    for a, b in ((red, blue), (blue, red)):
-        value = _match_critical(a, b)
-        if value is not None:
-            return value
-    return None
+    return _lookup(red, blue, 1, "path-critical ")
 
 
 def compare_with_catalog(

@@ -7,7 +7,7 @@ all the headroom the search code ever needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 MAX_ORDER = 64
 
@@ -355,6 +355,8 @@ def realize(spec: GraphSpec) -> Graph:
 # union < join < minus < copies; binary operators associate left.
 
 _LEAVES = {"K": Complete, "P": Path, "S": Star, "B": Book, "F": Fan, "M": Matching, "E": Empty}
+# The binary operators, loosest first: (class, symbol, separator when printed).
+_BINARY = ((Union, "u", " u "), (Join, "+", " + "), (Minus, "\\", "\\"))
 
 
 class _Parser:
@@ -386,45 +388,26 @@ class _Parser:
 
     def parse(self) -> GraphSpec:
         self.skip_ws()
-        spec = self.parse_union()
+        spec = self.parse_binary(0)
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("unexpected trailing input")
         return spec
 
-    def parse_union(self) -> GraphSpec:
-        spec = self.parse_join()
+    def parse_binary(self, level: int) -> GraphSpec:
+        """A left-associative chain of _BINARY[level] operators over tighter operands."""
+        cls, symbol, _ = _BINARY[level]
+        spec = None
         while True:
+            right = self.parse_binary(level + 1) if level + 1 < len(_BINARY) else self.parse_copies()
+            try:
+                spec = right if spec is None else cls(spec, right)
+            except SpecError as exc:
+                self.error(str(exc))
             self.skip_ws()
-            if self.peek() == "u":
-                self.pos += 1
-                spec = Union(spec, self.parse_join())
-            else:
+            if self.peek() != symbol:
                 return spec
-
-    def parse_join(self) -> GraphSpec:
-        spec = self.parse_minus()
-        while True:
-            self.skip_ws()
-            if self.peek() == "+":
-                self.pos += 1
-                spec = Join(spec, self.parse_minus())
-            else:
-                return spec
-
-    def parse_minus(self) -> GraphSpec:
-        spec = self.parse_copies()
-        while True:
-            self.skip_ws()
-            if self.peek() == "\\":
-                self.pos += 1
-                right = self.parse_copies()
-                try:
-                    spec = Minus(spec, right)
-                except SpecError as exc:
-                    self.error(str(exc))
-            else:
-                return spec
+            self.pos += 1
 
     def parse_copies(self) -> GraphSpec:
         self.skip_ws()
@@ -442,7 +425,7 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            spec = self.parse_union()
+            spec = self.parse_binary(0)
             self.skip_ws()
             if self.peek() != ")":
                 self.error("expected ')'")
@@ -459,8 +442,8 @@ def parse_spec(text: str) -> GraphSpec:
     return _Parser(text).parse()
 
 
-_PRECEDENCE = {Union: 0, Join: 1, Minus: 2, Copies: 3}
 _LEAF_LETTER = {cls: letter for letter, cls in _LEAVES.items()}
+_LEVEL = {cls: (level, sep) for level, (cls, _, sep) in enumerate(_BINARY)}
 
 
 def spec_to_text(spec: GraphSpec) -> str:
@@ -471,14 +454,13 @@ def spec_to_text(spec: GraphSpec) -> str:
         if cls in _LEAF_LETTER:
             param = node.n if hasattr(node, "n") else node.m
             return f"{_LEAF_LETTER[cls]}{param}"
-        level = _PRECEDENCE[cls]
         if cls is Copies:
+            level = len(_BINARY)
             text = f"{node.count}*{fmt(node.inner, level, False)}"
         else:
-            sep = {Union: " u ", Join: " + ", Minus: "\\"}[cls]
-            text = fmt(node.left if cls is not Minus else node.host, level, False)
-            text += sep
-            text += fmt(node.right if cls is not Minus else node.deleted, level, True)
+            level, sep = _LEVEL[cls]
+            left, right = (getattr(node, f.name) for f in fields(node))
+            text = fmt(left, level, False) + sep + fmt(right, level, True)
         if level < parent_level or (level == parent_level and right_side):
             return f"({text})"
         return text

@@ -18,13 +18,12 @@ from ramarrow.constructions import (
     enumerate_free_colorings,
     odd_clique_pair,
 )
-from ramarrow.containment import Clique, FanT, MatchingT, PathT, StarT
 from ramarrow.formulas import (
     burr_bound,
     closed_form_path_critical,
     known_ramsey,
 )
-from ramarrow.graphs import Book, Complete, Fan, Minus, Path, Star, realize
+from ramarrow.graphs import Book, Complete, Fan, Matching, Minus, Path, Star, realize
 from ramarrow.verify import (
     arrows_enumeration_disagreements,
     detector_generic_disagreements,
@@ -56,35 +55,35 @@ def test_criterion_1_matching_matching_pipeline():
     with _Budget("1 matching-matching pipeline", 120):
         for m, n in [(1, 2), (2, 2), (2, 3), (3, 3)]:
             want = 2 * n + m - 1
-            r = ramsey_number(MatchingT(m), MatchingT(n), max_r=want + 2)
+            r = ramsey_number(Matching(m), Matching(n), max_r=want + 2)
             assert r == want, (m, n, r)
-            crit = critical_number(MatchingT(m), MatchingT(n), DeletionFamily.PATH, r)
+            crit = critical_number(Matching(m), Matching(n), DeletionFamily.PATH, r)
             assert crit == want, (m, n, crit)  # deleting a hamiltonian path still arrows
 
 
 def test_criterion_2_star_clique():
     with _Budget("2 star-clique", 60):
-        assert ramsey_number(StarT(2), Clique(3), max_r=7) == 5
-        assert critical_number(StarT(2), Clique(3), DeletionFamily.PATH, 5) == 2
-        assert ramsey_number(StarT(3), Clique(3), max_r=9) == 7
-        assert critical_number(StarT(3), Clique(3), DeletionFamily.PATH, 7) == 3
+        assert ramsey_number(Star(2), Complete(3), max_r=7) == 5
+        assert critical_number(Star(2), Complete(3), DeletionFamily.PATH, 5) == 2
+        assert ramsey_number(Star(3), Complete(3), max_r=9) == 7
+        assert critical_number(Star(3), Complete(3), DeletionFamily.PATH, 7) == 3
 
 
 def test_criterion_3_star_star():
     with _Budget("3 star-star", 60):
         for m, n, want_r, want_crit in [(2, 2, 3, 0), (2, 3, 5, 4), (3, 3, 6, 5)]:
-            r = ramsey_number(StarT(m), StarT(n), max_r=want_r + 2)
+            r = ramsey_number(Star(m), Star(n), max_r=want_r + 2)
             assert r == want_r == known_ramsey(Star(m), Star(n)).value
-            crit = critical_number(StarT(m), StarT(n), DeletionFamily.PATH, r)
+            crit = critical_number(Star(m), Star(n), DeletionFamily.PATH, r)
             assert crit == want_crit == closed_form_path_critical(Star(m), Star(n)).value
 
 
 def test_criterion_4_star_path():
     with _Budget("4 star-path", 10):
         assert known_ramsey(Star(2), Path(7)).value == 7
-        assert ramsey_number(StarT(2), PathT(7), max_r=9) == 7
-        assert arrows(realize(Minus(Complete(7), Path(7))), StarT(2), PathT(7)).arrows
-        assert critical_number(StarT(2), PathT(7), DeletionFamily.PATH, 7) == 7
+        assert ramsey_number(Star(2), Path(7), max_r=9) == 7
+        assert arrows(realize(Minus(Complete(7), Path(7))), Star(2), Path(7)).arrows
+        assert critical_number(Star(2), Path(7), DeletionFamily.PATH, 7) == 7
 
 
 def test_criterion_5_fan2_triangle_headline():
@@ -93,7 +92,7 @@ def test_criterion_5_fan2_triangle_headline():
         assert witness.host_spec == Minus(Complete(9), Path(5))
         assert witness.red_free and witness.blue_free
         result = arrows(
-            realize(Minus(Complete(9), Path(4))), FanT(2), Clique(3), budget=10**8
+            realize(Minus(Complete(9), Path(4))), Fan(2), Complete(3), budget=10**8
         )
         assert result.verdict == "arrows", result.verdict  # indeterminate fails the suite
         # witness bounds the critical value above by 4, the search below by 4
@@ -104,7 +103,7 @@ def test_criterion_6_free_coloring_classes():
     with _Budget("6 free-coloring classes", 300):
         for n, want in [(2, 1), (3, 2), (4, 2)]:
             host = realize(Complete(2 * n))
-            classes = enumerate_free_colorings(host, MatchingT(n), Clique(3))
+            classes = enumerate_free_colorings(host, Matching(n), Complete(3))
             got = {canonical_coloring_key(c) for c in classes}
             expected = {
                 canonical_coloring_key(odd_clique_pair(n, i))
@@ -160,7 +159,7 @@ def test_criterion_9_property_suites():
 def test_criterion_10_fan3_triangle_stretch():
     witness = block_coloring_witness(Fan(3), Complete(3), 13)
     assert witness.red_free and witness.blue_free
-    result = arrows(realize(Minus(Complete(13), Path(6))), FanT(3), Clique(3), budget=10**8)
+    result = arrows(realize(Minus(Complete(13), Path(6))), Fan(3), Complete(3), budget=10**8)
     if result.verdict == "indeterminate":
         pytest.skip(f"budget exhausted after {result.stats.nodes} nodes (allowed at desk scale)")
     assert result.arrows

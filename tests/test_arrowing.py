@@ -10,28 +10,29 @@ from ramarrow.arrowing import (
     NotFoundWithinBoundError,
     all_free_colorings,
     arrows,
+    check_free,
     critical_number,
     enumerate_copies,
     export_dimacs,
     ramsey_number,
 )
-from ramarrow.coloring import BLUE, RED, monochromatic_subgraph
-from ramarrow.containment import (
-    BookT,
-    Clique,
-    FanT,
-    Generic,
-    MatchingT,
-    PathT,
-    StarT,
-    contains_target,
-    target_to_spec,
+from ramarrow.coloring import BLUE, RED, Coloring, monochromatic_subgraph
+from ramarrow.containment import Generic, contains_target, target_to_spec
+from ramarrow.graphs import (
+    Book,
+    Complete,
+    Fan,
+    Matching,
+    Minus,
+    Path,
+    Star,
+    parse_spec,
+    realize,
 )
-from ramarrow.graphs import Complete, Matching, Minus, Path, parse_spec, realize
 
 TARGET_POOL = [
-    Clique(2), Clique(3), StarT(1), StarT(2), StarT(3),
-    PathT(2), PathT(3), PathT(4), MatchingT(1), MatchingT(2),
+    Complete(2), Complete(3), Star(1), Star(2), Star(3),
+    Path(2), Path(3), Path(4), Matching(1), Matching(2),
     Generic(parse_spec("K3 u K2")),
 ]
 
@@ -51,7 +52,7 @@ def test_copy_counts_against_brute_force():
 
 def test_specialized_enumerators_against_brute_force():
     targets = [
-        BookT(1), BookT(2), FanT(1), FanT(2), Clique(4), StarT(4), PathT(5), MatchingT(3),
+        Book(1), Book(2), Fan(1), Fan(2), Complete(4), Star(4), Path(5), Matching(3),
     ]
     rng = random.Random(31)
     for _ in range(25):
@@ -63,47 +64,57 @@ def test_specialized_enumerators_against_brute_force():
 
 def test_copy_counts_closed_forms():
     k4 = realize(Complete(4))
-    assert len(enumerate_copies(k4, MatchingT(2))) == 3  # perfect matchings of K_4
+    assert len(enumerate_copies(k4, Matching(2))) == 3  # perfect matchings of K_4
     k7 = realize(Complete(7))
-    assert len(enumerate_copies(k7, PathT(7))) == 2520  # 7!/2 hamiltonian paths
+    assert len(enumerate_copies(k7, Path(7))) == 2520  # 7!/2 hamiltonian paths
     k9 = realize(Complete(9))
-    assert len(enumerate_copies(k9, FanT(2))) == 9 * 210  # hub choices x 2-matchings of K_8
-    assert len(enumerate_copies(k7, Clique(3))) == 35
+    assert len(enumerate_copies(k9, Fan(2))) == 9 * 210  # hub choices x 2-matchings of K_8
+    assert len(enumerate_copies(k7, Complete(3))) == 35
 
 
 def test_copy_cap():
     k7 = realize(Complete(7))
     with pytest.raises(CopyCapError):
-        enumerate_copies(k7, PathT(7), cap=100)
-    assert len(enumerate_copies(k7, PathT(7), cap=2520)) == 2520
+        enumerate_copies(k7, Path(7), cap=100)
+    assert len(enumerate_copies(k7, Path(7), cap=2520)) == 2520
     with pytest.raises(CopyCapError, match="more than 2519 target copies"):
-        enumerate_copies(k7, PathT(7), cap=2519)
+        enumerate_copies(k7, Path(7), cap=2519)
 
 
 # --- arrows ------------------------------------------------------------------
 
 
 def test_arrows_single_edge():
-    result = arrows(realize(Complete(2)), Clique(2), Clique(2))
+    result = arrows(realize(Complete(2)), Complete(2), Complete(2))
     assert result.arrows
 
 
 def test_arrows_k5_minus_p5_matchings():
-    result = arrows(realize(Minus(Complete(5), Path(5))), MatchingT(2), MatchingT(2))
+    result = arrows(realize(Minus(Complete(5), Path(5))), Matching(2), Matching(2))
     assert result.arrows
 
 
 def test_arrows_k4_matchings_counterexample():
-    result = arrows(realize(Complete(4)), MatchingT(2), MatchingT(2), deterministic=True)
+    result = arrows(realize(Complete(4)), Matching(2), Matching(2), deterministic=True)
     assert result.verdict == "counterexample"
     col = result.counterexample
-    assert not contains_target(monochromatic_subgraph(col, RED), MatchingT(2))
-    assert not contains_target(monochromatic_subgraph(col, BLUE), MatchingT(2))
+    assert not contains_target(monochromatic_subgraph(col, RED), Matching(2))
+    assert not contains_target(monochromatic_subgraph(col, BLUE), Matching(2))
     # lexicographically least free assignment: red star at vertex 0
     assert col.edge_triples() == [
         [0, 1, "R"], [0, 2, "R"], [0, 3, "R"],
         [1, 2, "B"], [1, 3, "B"], [2, 3, "B"],
     ]
+
+
+def test_check_free_names_the_failing_side():
+    k4 = realize(Complete(4))
+    all_red = Coloring(k4, (1 << k4.edge_count) - 1)
+    assert check_free(all_red, Complete(5), Complete(2)) is all_red
+    with pytest.raises(RuntimeError, match="the red side contains K3$"):
+        check_free(all_red, Complete(3), Complete(2))
+    with pytest.raises(RuntimeError, match="the blue side contains M2$"):
+        check_free(Coloring(k4, 0), Complete(3), Matching(2))
 
 
 def test_deterministic_counterexample_is_lex_least():
@@ -180,7 +191,7 @@ def test_learned_mode_agrees_with_clauses():
 
     # every rooted detector family, generic targets and an edgeless one, against all colorings
     pool = TARGET_POOL + [
-        Clique(4), BookT(1), BookT(2), FanT(1), FanT(2), FanT(3), MatchingT(3), PathT(5),
+        Complete(4), Book(1), Book(2), Fan(1), Fan(2), Fan(3), Matching(3), Path(5),
         Generic(parse_spec("K3")), Generic(parse_spec("K4\\P4")), Generic(parse_spec("E2")),
     ]
     checked = 0
@@ -204,7 +215,7 @@ def test_capped_counterexample_is_lex_least():
     # learned clauses are real copies, so they cut off no free coloring: past the
     # cap, each branch order still finds the enumerated clauses' first counterexample
     pool = TARGET_POOL + [
-        Clique(4), BookT(1), BookT(2), FanT(1), FanT(2), PathT(5), MatchingT(3),
+        Complete(4), Book(1), Book(2), Fan(1), Fan(2), Path(5), Matching(3),
         Generic(parse_spec("K4\\P4")), Generic(parse_spec("E2")), parse_spec("K2 u E3"),
     ]
     rng = random.Random(83)
@@ -242,7 +253,7 @@ def test_edge_monotonicity_of_arrowing():
 
 def test_budget_exhaustion_is_indeterminate():
     host = realize(Minus(Complete(9), Path(4)))
-    result = arrows(host, FanT(2), Clique(3), budget=5)
+    result = arrows(host, Fan(2), Complete(3), budget=5)
     assert result.verdict == "indeterminate"
     assert result.stats.budget_exhausted
     assert result.counterexample is None
@@ -251,10 +262,10 @@ def test_budget_exhaustion_is_indeterminate():
 def test_degenerate_edgeless_targets():
     host = realize(Complete(3))
     # an edgeless red target that fits is contained in every coloring
-    assert arrows(host, Generic(parse_spec("E2")), Clique(3)).arrows
-    assert arrows(host, PathT(1), Clique(3)).arrows
+    assert arrows(host, Generic(parse_spec("E2")), Complete(3)).arrows
+    assert arrows(host, Path(1), Complete(3)).arrows
     # too large to embed: unconstrained, so the all-red coloring is free
-    result = arrows(host, Generic(parse_spec("E4")), Clique(4))
+    result = arrows(host, Generic(parse_spec("E4")), Complete(4))
     assert result.verdict == "counterexample"
 
 
@@ -266,13 +277,13 @@ def test_engine_output_is_pinned():
     k9 = realize(Complete(9))
     k9p4 = realize(Minus(Complete(9), Path(4)))
     runs = [
-        (arrows(k9, Clique(3), Clique(4)), "clauses", 19563),
-        (arrows(k9p4, FanT(2), Clique(3)), "clauses", 16025),
-        (arrows(k9p4, FanT(2), Clique(3), deterministic=True), "clauses", 9179),
-        (arrows(realize(Complete(8)), BookT(2), Clique(3), copy_cap=0), "learned", 1266),
-        (arrows(realize(Complete(7)), FanT(2), StarT(3), copy_cap=0), "learned", 385),
-        (arrows(realize(Complete(7)), MatchingT(3), Clique(3), copy_cap=0), "learned", 136),
-        (arrows(realize(Complete(6)), parse_spec("K3 u K2"), Clique(3), copy_cap=0),
+        (arrows(k9, Complete(3), Complete(4)), "clauses", 19563),
+        (arrows(k9p4, Fan(2), Complete(3)), "clauses", 16025),
+        (arrows(k9p4, Fan(2), Complete(3), deterministic=True), "clauses", 9179),
+        (arrows(realize(Complete(8)), Book(2), Complete(3), copy_cap=0), "learned", 1266),
+        (arrows(realize(Complete(7)), Fan(2), Star(3), copy_cap=0), "learned", 385),
+        (arrows(realize(Complete(7)), Matching(3), Complete(3), copy_cap=0), "learned", 136),
+        (arrows(realize(Complete(6)), parse_spec("K3 u K2"), Complete(3), copy_cap=0),
          "learned", 126),
     ]
     for result, mode, nodes in runs:
@@ -280,13 +291,13 @@ def test_engine_output_is_pinned():
             "arrows", mode, nodes,
         )
 
-    k5 = arrows(realize(Complete(5)), Clique(3), Clique(3), deterministic=True)
+    k5 = arrows(realize(Complete(5)), Complete(3), Complete(3), deterministic=True)
     assert k5.counterexample.edge_triples() == [
         [0, 1, "R"], [0, 2, "R"], [0, 3, "B"], [0, 4, "B"], [1, 2, "B"],
         [1, 3, "R"], [1, 4, "B"], [2, 3, "B"], [2, 4, "R"], [3, 4, "R"],
     ]
 
-    colorings = all_free_colorings(realize(Complete(6)), Clique(3), Clique(4))
+    colorings = all_free_colorings(realize(Complete(6)), Complete(3), Complete(4))
     assert len(colorings) == 2812
     # bit i of red is host edge i (canonical order), so edge 0 is the lowest bit
     assert colorings[0].red == 0b011110110000111
@@ -295,7 +306,7 @@ def test_engine_output_is_pinned():
 
 @pytest.mark.parametrize(
     "target, copy_cap, mode, nodes",
-    [(PathT(47), None, "clauses", 1034), (StarT(45), 0, "learned", 1036)],
+    [(Path(47), None, "clauses", 1034), (Star(45), 0, "learned", 1036)],
 )
 def test_search_depth_is_not_bounded_by_recursion(target, copy_cap, mode, nodes):
     # K46 has 1,035 edges, so the DFS is 1,035 decisions deep on its first branch
@@ -314,36 +325,36 @@ def test_search_depth_is_not_bounded_by_recursion(target, copy_cap, mode, nodes)
 
 
 def test_ramsey_examples():
-    assert ramsey_number(StarT(2), Clique(3)) == 5
-    assert ramsey_number(Clique(2), Clique(3)) == 3
+    assert ramsey_number(Star(2), Complete(3)) == 5
+    assert ramsey_number(Complete(2), Complete(3)) == 3
     # matching pair: 2n+m-1 with (m,n)=(2,3)
-    assert ramsey_number(MatchingT(2), MatchingT(3)) == 7
+    assert ramsey_number(Matching(2), Matching(3)) == 7
 
 
 def test_ramsey_not_found_within_bound():
     with pytest.raises(NotFoundWithinBoundError):
-        ramsey_number(Clique(3), Clique(3), max_r=5)
+        ramsey_number(Complete(3), Complete(3), max_r=5)
     with pytest.raises(ValueError, match="at least 1"):
-        ramsey_number(Clique(3), Clique(3), max_r=0)
+        ramsey_number(Complete(3), Complete(3), max_r=0)
 
 
 def test_ramsey_number_of_an_edgeless_target_is_one():
     # K1 holds K1 in every coloring of its zero edges
-    assert arrows(realize(Complete(1)), Clique(1), Clique(3)).arrows
-    assert ramsey_number(Clique(1), Clique(3)) == 1
-    assert ramsey_number(StarT(3), Clique(1)) == 1
+    assert arrows(realize(Complete(1)), Complete(1), Complete(3)).arrows
+    assert ramsey_number(Complete(1), Complete(3)) == 1
+    assert ramsey_number(Star(3), Complete(1)) == 1
 
 
 def test_critical_examples():
-    assert critical_number(MatchingT(2), MatchingT(2), DeletionFamily.PATH, 5) == 5
-    assert critical_number(StarT(2), StarT(2), DeletionFamily.PATH, 3) == 0
-    assert critical_number(StarT(2), Clique(3), DeletionFamily.PATH, 5) == 2
+    assert critical_number(Matching(2), Matching(2), DeletionFamily.PATH, 5) == 5
+    assert critical_number(Star(2), Star(2), DeletionFamily.PATH, 3) == 0
+    assert critical_number(Star(2), Complete(3), DeletionFamily.PATH, 5) == 2
 
 
 def test_critical_other_families():
     # matching family indexed by edges, clique family by vertices
-    assert critical_number(StarT(2), Clique(3), DeletionFamily.MATCHING, 5) == 2
-    assert critical_number(StarT(2), Clique(3), DeletionFamily.CLIQUE, 5) == 2
+    assert critical_number(Star(2), Complete(3), DeletionFamily.MATCHING, 5) == 2
+    assert critical_number(Star(2), Complete(3), DeletionFamily.CLIQUE, 5) == 2
     assert DeletionFamily.MATCHING.index_unit == "edges"
     assert DeletionFamily.PATH.index_unit == "vertices"
     assert DeletionFamily.MATCHING.deletion_spec(2) == Matching(2)
@@ -352,9 +363,9 @@ def test_critical_other_families():
 def test_deletion_monotonicity():
     # once a deletion breaks arrowing, every longer one does too
     for red, blue, r in [
-        (StarT(2), StarT(3), 5),
-        (StarT(2), Clique(3), 5),
-        (MatchingT(2), MatchingT(2), 5),
+        (Star(2), Star(3), 5),
+        (Star(2), Complete(3), 5),
+        (Matching(2), Matching(2), 5),
     ]:
         verdicts = []
         for i in range(2, r + 1):
@@ -365,7 +376,7 @@ def test_deletion_monotonicity():
 
 def test_indeterminate_propagates():
     with pytest.raises(IndeterminateError):
-        critical_number(FanT(2), Clique(3), DeletionFamily.PATH, 9, budget=5)
+        critical_number(Fan(2), Complete(3), DeletionFamily.PATH, 9, budget=5)
 
 
 def test_search_matches_catalog_for_small_pairs():
@@ -403,7 +414,7 @@ def test_upper_bound_dominates_critical_number():
 
     for n, r in [(2, 5), (3, 7)]:
         bound = path_critical_upper_bound(Star(n), Complete(3), r)
-        crit = critical_number(StarT(n), Clique(3), DeletionFamily.PATH, r)
+        crit = critical_number(Star(n), Complete(3), DeletionFamily.PATH, r)
         assert bound >= crit
 
 
@@ -411,7 +422,7 @@ def test_upper_bound_dominates_critical_number():
 
 
 def test_dimacs_triangle_example():
-    text = export_dimacs(realize(Complete(3)), Clique(3), Clique(3))
+    text = export_dimacs(realize(Complete(3)), Complete(3), Complete(3))
     nvars, clauses = oracles.parse_dimacs(text)
     assert nvars == 3
     assert sorted(clauses) == [[-1, -2, -3], [1, 2, 3]]
@@ -420,7 +431,7 @@ def test_dimacs_triangle_example():
 
 def test_dimacs_text_is_pinned():
     # clauses are listed in lexicographic order of their ascending edge lists
-    text = export_dimacs(realize(Complete(4)), PathT(3), Clique(3))
+    text = export_dimacs(realize(Complete(4)), Path(3), Complete(3))
     assert text == """\
 c arrowing CNF: satisfiable iff the host admits a free coloring
 c host: 4 vertices, 6 edges
@@ -454,7 +465,7 @@ p cnf 6 16
 
 
 def test_dimacs_matching_example():
-    text = export_dimacs(realize(Complete(4)), MatchingT(2), MatchingT(2))
+    text = export_dimacs(realize(Complete(4)), Matching(2), Matching(2))
     nvars, clauses = oracles.parse_dimacs(text)
     assert nvars == 6
     assert len(clauses) == 6
@@ -463,7 +474,7 @@ def test_dimacs_matching_example():
 
 
 def test_dimacs_k5_minus_p5_unsatisfiable():
-    text = export_dimacs(realize(Minus(Complete(5), Path(5))), MatchingT(2), MatchingT(2))
+    text = export_dimacs(realize(Minus(Complete(5), Path(5))), Matching(2), Matching(2))
     _, clauses = oracles.parse_dimacs(text)
     assert not oracles.naive_dpll(clauses)
 

@@ -186,22 +186,33 @@ def test_package_imports_without_numpy():
     assert proc.stdout == "False\n"
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_closed_stdout_keeps_the_exit_code(unbuffered):
-    # the reader is gone before the report is written, as with `| head` on a long report
+def _run_with_closed_stdout(unbuffered: bool, *argv: str) -> tuple[int, bytes]:
+    # the reader is gone before anything is written, as with `| head` on a long report
     env = _subprocess_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "ramarrow", "arrows", "--host", "K4", "--red", "M2", "--blue", "M2",
-         "--json"],
+        [sys.executable, "-m", "ramarrow", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()
     with proc.stderr:
         err = proc.stderr.read()
-    assert (proc.wait(timeout=120), err) == (cli.EXIT_FAIL, b"")
+    return proc.wait(timeout=120), err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_the_exit_code(unbuffered):
+    assert _run_with_closed_stdout(
+        unbuffered, "arrows", "--host", "K4", "--red", "M2", "--blue", "M2", "--json"
+    ) == (cli.EXIT_FAIL, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["arrows", "--help"]], ids=["main", "arrows"])
+def test_closed_stdout_after_help_exits_0(unbuffered, argv):
+    assert _run_with_closed_stdout(unbuffered, *argv) == (cli.EXIT_PASS, b"")
 
 
 def test_arrows_deep_host_counterexample(capsys):

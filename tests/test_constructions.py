@@ -13,7 +13,7 @@ from ramarrow.constructions import (
     odd_clique_pair,
     witness_payload,
 )
-from ramarrow.containment import Clique, MatchingT, StarT, contains_target
+from ramarrow.containment import contains_target
 from ramarrow.formulas import closed_form_path_critical, path_critical_upper_bound
 from ramarrow.graphs import (
     Book,
@@ -21,6 +21,7 @@ from ramarrow.graphs import (
     Empty,
     Fan,
     Join,
+    Matching,
     Minus,
     Path,
     Star,
@@ -44,8 +45,8 @@ def test_witness_star3_triangle():
     # red side: the deleted-path block first, then a K_3 block
     assert red == realize(Union(Minus(Complete(4), Path(4)), Complete(3)))
     assert blue == realize(Join(Empty(4), Empty(3)))
-    assert not contains_target(red, StarT(3))
-    assert not contains_target(blue, Clique(3))
+    assert not contains_target(red, Star(3))
+    assert not contains_target(blue, Complete(3))
 
 
 def test_witness_fan2_triangle():
@@ -107,8 +108,8 @@ def test_odd_clique_pair_examples():
     pair = odd_clique_pair(3, 0)
     red = monochromatic_subgraph(pair, RED)
     assert red == realize(Union(Complete(1), Complete(5)))
-    assert not contains_target(red, MatchingT(3))
-    assert not contains_target(monochromatic_subgraph(pair, BLUE), Clique(3))
+    assert not contains_target(red, Matching(3))
+    assert not contains_target(monochromatic_subgraph(pair, BLUE), Complete(3))
 
 
 def test_odd_clique_pair_index_range():
@@ -126,8 +127,8 @@ def test_odd_clique_pair_index_range():
 
 def test_enumerate_k4_matching_pair():
     host = realize(Complete(4))
-    labeled = all_free_colorings(host, MatchingT(2), Clique(3))
-    classes = enumerate_free_colorings(host, MatchingT(2), Clique(3))
+    labeled = all_free_colorings(host, Matching(2), Complete(3))
+    classes = enumerate_free_colorings(host, Matching(2), Complete(3))
     assert len(labeled) == 4  # choices of the isolated red vertex
     assert len(classes) == 1
     assert canonical_coloring_key(classes[0]) == canonical_coloring_key(odd_clique_pair(2, 0))
@@ -135,8 +136,8 @@ def test_enumerate_k4_matching_pair():
 
 def test_enumerate_k6_matching_pair():
     host = realize(Complete(6))
-    labeled = all_free_colorings(host, MatchingT(3), Clique(3))
-    classes = enumerate_free_colorings(host, MatchingT(3), Clique(3))
+    labeled = all_free_colorings(host, Matching(3), Complete(3))
+    classes = enumerate_free_colorings(host, Matching(3), Complete(3))
     assert len(labeled) == 16  # 6 splits {1,5} + 10 splits {3,3}
     keys = {canonical_coloring_key(c) for c in classes}
     expected = {canonical_coloring_key(odd_clique_pair(3, i)) for i in range(2)}
@@ -145,22 +146,22 @@ def test_enumerate_k6_matching_pair():
 
 def test_enumerate_triangle_both_triangle():
     host = realize(Complete(3))
-    labeled = all_free_colorings(host, Clique(3), Clique(3))
-    classes = enumerate_free_colorings(host, Clique(3), Clique(3))
+    labeled = all_free_colorings(host, Complete(3), Complete(3))
+    classes = enumerate_free_colorings(host, Complete(3), Complete(3))
     assert len(labeled) == 6  # all but the two monochromatic colorings
     assert len(classes) == 2  # 2 red + 1 blue vs 1 red + 2 blue
 
 
 def test_enumerate_edge_limit():
     with pytest.raises(ValueError):
-        all_free_colorings(realize(Complete(9)), Clique(3), Clique(3))
+        all_free_colorings(realize(Complete(9)), Complete(3), Complete(3))
 
 
 def test_every_enumerated_coloring_is_free():
     host = realize(Complete(5))
-    for coloring in all_free_colorings(host, MatchingT(2), Clique(3)):
-        assert not contains_target(monochromatic_subgraph(coloring, RED), MatchingT(2))
-        assert not contains_target(monochromatic_subgraph(coloring, BLUE), Clique(3))
+    for coloring in all_free_colorings(host, Matching(2), Complete(3)):
+        assert not contains_target(monochromatic_subgraph(coloring, RED), Matching(2))
+        assert not contains_target(monochromatic_subgraph(coloring, BLUE), Complete(3))
 
 
 # --- canonical labeling -----------------------------------------------------------

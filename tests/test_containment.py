@@ -3,13 +3,7 @@ import random
 from ramarrow import containment, oracles
 from ramarrow.arrowing import arrows
 from ramarrow.containment import (
-    BookT,
-    Clique,
-    FanT,
     Generic,
-    MatchingT,
-    PathT,
-    StarT,
     contains_target,
     copy_through,
     max_clique_size,
@@ -18,6 +12,7 @@ from ramarrow.containment import (
     target_to_spec,
 )
 from ramarrow.graphs import (
+    Book,
     Complete,
     Empty,
     Fan,
@@ -32,15 +27,15 @@ from ramarrow.graphs import (
     stats,
 )
 
-ALL_FAMILIES = (Clique, StarT, PathT, MatchingT, BookT, FanT)
+ALL_FAMILIES = (Complete, Star, Path, Matching, Book, Fan)
 
 
 def test_spec_examples():
-    assert contains_target(realize(Complete(4)), Clique(3))
+    assert contains_target(realize(Complete(4)), Complete(3))
     red_h0 = realize(Union(Empty(1), Complete(5)))
-    assert not contains_target(red_h0, MatchingT(3))
-    assert not contains_target(realize(Complete(4)), FanT(2))
-    assert not contains_target(realize(Join(Empty(3), Empty(4))), Clique(3))
+    assert not contains_target(red_h0, Matching(3))
+    assert not contains_target(realize(Complete(4)), Fan(2))
+    assert not contains_target(realize(Join(Empty(3), Empty(4))), Complete(3))
 
 
 def test_max_matching_examples():
@@ -73,7 +68,7 @@ def test_star_detector_is_max_degree():
     for _ in range(100):
         g = oracles.random_graph(rng, rng.randint(2, 9), rng.random())
         for n in range(1, 5):
-            assert contains_target(g, StarT(n)) == (stats(g).max_degree >= n)
+            assert contains_target(g, Star(n)) == (stats(g).max_degree >= n)
 
 
 def test_detectors_agree_with_generic():
@@ -98,9 +93,9 @@ def test_detectors_agree_with_independent_brute_force():
 
 def test_rooted_detector_against_brute_force_copies():
     targets = [
-        Clique(1), Clique(2), Clique(3), Clique(4), StarT(1), StarT(2), StarT(3), StarT(4),
-        PathT(1), PathT(2), PathT(3), PathT(4), PathT(5),
-        BookT(1), BookT(2), FanT(1), FanT(2), FanT(3), MatchingT(1), MatchingT(2), MatchingT(3),
+        Complete(1), Complete(2), Complete(3), Complete(4), Star(1), Star(2), Star(3), Star(4),
+        Path(1), Path(2), Path(3), Path(4), Path(5),
+        Book(1), Book(2), Fan(1), Fan(2), Fan(3), Matching(1), Matching(2), Matching(3),
         Generic(Complete(3)), parse_spec("K3 u K2"), parse_spec("E2"),
     ]
     rng = random.Random(17)
@@ -125,11 +120,11 @@ def test_detected_families_never_use_the_generic_search(monkeypatch):
 
     monkeypatch.setattr(containment, "_embeddings", refuse)
     g = realize(Complete(7))
-    for target in (Clique(3), StarT(3), PathT(5), MatchingT(3), BookT(2), FanT(2)):
+    for target in (Complete(3), Star(3), Path(5), Matching(3), Book(2), Fan(2)):
         copy = copy_through(g, target, 2, 5)
         edges = sorted(tuple(sorted(edge)) for edge in copy)
         assert (2, 5) in edges and len(set(edges)) == realize(target).edge_count, (target, copy)
-    runs = ((7, FanT(2), StarT(3)), (8, BookT(2), Clique(3)), (6, PathT(5), MatchingT(3)))
+    runs = ((7, Fan(2), Star(3)), (8, Book(2), Complete(3)), (6, Path(5), Matching(3)))
     for r, red, blue in runs:
         host = realize(Complete(r))
         learned = arrows(host, red, blue, copy_cap=0)
@@ -158,10 +153,10 @@ def test_monotone_under_edge_addition():
 
 
 def test_target_spec_round_trip():
-    for target in [Clique(3), StarT(2), PathT(5), MatchingT(2), BookT(2), FanT(3)]:
+    for target in [Complete(3), Star(2), Path(5), Matching(2), Book(2), Fan(3)]:
         assert target_from_spec(target_to_spec(target)) == target
     generic = Generic(Minus(Complete(4), Path(4)))
     assert target_from_spec(target_to_spec(generic)) == generic
-    assert target_from_spec(Star(3)) == StarT(3)
-    assert target_from_spec(Fan(2)) == FanT(2)
-    assert target_from_spec(Matching(4)) == MatchingT(4)
+    assert target_from_spec(Star(3)) == Star(3)
+    assert target_from_spec(Fan(2)) == Fan(2)
+    assert target_from_spec(Matching(4)) == Matching(4)

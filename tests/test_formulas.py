@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -24,7 +26,10 @@ from ramarrow.graphs import (
     Path,
     Star,
     realize,
+    spec_to_text,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 # --- chromatic quantities -----------------------------------------------------
@@ -188,3 +193,23 @@ def test_star_star_closed_form_parity_table():
         assert closed_form_path_critical(Star(m), Star(n)).value == 0
     for m, n in [(1, 2), (2, 3), (3, 3), (3, 4)]:
         assert closed_form_path_critical(Star(m), Star(n)).value == m + n - 1
+
+
+def _catalog_grid() -> dict[str, list]:
+    """Both lookups, as [value, source] or None, for every ordered pair of leaves 1..12."""
+    leaves = [family(k) for family in (Complete, Path, Star, Book, Fan, Matching, Empty)
+              for k in range(1, 13)]
+    grid = {}
+    for a in leaves:
+        for b in leaves:
+            grid[f"{spec_to_text(a)} {spec_to_text(b)}"] = [
+                None if entry is None else [entry.value, entry.source]
+                for entry in (known_ramsey(a, b), closed_form_path_critical(a, b))
+            ]
+    return grid
+
+
+def test_catalog_matches_pinned_grid():
+    # catalog_grid.json holds _catalog_grid() as the catalog answered it before
+    # its two lookups shared one table: 84 leaves, 7,056 ordered pairs
+    assert _catalog_grid() == json.loads((DATA / "catalog_grid.json").read_text())

@@ -60,17 +60,28 @@ def test_parse_parentheses():
     assert parse_spec("K1 + (K2 u K3)") == Join(Complete(1), Union(Complete(2), Complete(3)))
 
 
+_SPEC_ERRORS = [
+    ("K5\\", "expected a graph atom at position 3"),
+    ("K0", "parameter must be at least 1 at position 1"),
+    ("K3 +", "expected a graph atom at position 4"),
+    ("3K2", "expected '*' after copy count at position 1"),  # copies need the '*'
+    ("2 K3", "expected '*' after copy count at position 2"),
+    ("2*", "expected a graph atom at position 2"),
+    ("", "expected a graph atom at position 0"),
+    ("Q3", "expected a graph atom at position 0"),
+    ("K2 u", "expected a graph atom at position 4"),
+    ("K3\\P5", "deleted graph has 5 vertices but the host only 3 at position 5"),
+    ("(K2", "expected ')' at position 3"),
+    ("K2)", "unexpected trailing input at position 2"),
+    ("K3 u (K2 + ", "expected a graph atom at position 11"),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(SpecError, match="position"):
-        parse_spec("K5\\")
-    with pytest.raises(SpecError, match="least 1"):
-        parse_spec("K0")
-    with pytest.raises(SpecError):
-        parse_spec("K3 +")
-    with pytest.raises(SpecError):
-        parse_spec("3K2")  # copies need the '*'
-    with pytest.raises(SpecError):
-        parse_spec("")
+    for text, message in _SPEC_ERRORS:
+        with pytest.raises(SpecError) as info:
+            parse_spec(text)
+        assert str(info.value) == f"{message} in {text!r}"
 
 
 def test_minus_size_violation():
