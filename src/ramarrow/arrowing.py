@@ -8,14 +8,18 @@ The engine is one generator, _free_colorings.  It enumerates every copy of
 each target inside the host as an edge bitmask, turns the copies into
 clauses ("some edge of a red copy must be blue" and vice versa), and runs
 an explicit-stack depth-first search over edge assignments with unit
-propagation on those bitmasks: the search state is one red and one blue
-edge mask, so backtracking restores two ints.  When the copies pass the
-copy cap, the same search learns its clauses instead: each newly colored
-edge asks for a copy through it in its color class, and a copy found is a
-conflict and a new clause.  The generator yields the red edge mask of
-each complete free coloring it reaches; arrows takes the first (exhausting
-the space proves arrowing, and a coloring is re-verified before it is
-returned as a counterexample), and all_free_colorings takes them all.
+propagation.  Each copy is one bit (a lane) of big ints: per host edge,
+the copies through it; per color, the copies still alive and the copies
+with one free edge left; and bit-sliced planes holding every alive copy's
+free-edge count.  Coloring an edge updates all copies through it at once,
+in a few big-int operations, and backtracking restores a saved state.
+When the copies pass the copy cap, the same search learns its clauses
+instead: each newly colored edge asks for a copy through it in its color
+class, and a copy found is a conflict and a new lane.  The generator
+yields the red edge mask of each complete free coloring it reaches;
+arrows takes the first (exhausting the space proves arrowing, and a
+coloring is re-verified before it is returned as a counterexample), and
+all_free_colorings takes them all.
 """
 
 from __future__ import annotations
@@ -106,16 +110,9 @@ class DeletionFamily(Enum):
 # Copy enumeration
 #
 # A copy is an int edge mask: bit i is set when host edge i (canonical
-# order) is in the copy.  bits[u][v] is the mask of edge uv, 0 for a
-# non-edge, so each enumerator ORs a copy together as its DFS goes.
-
-
-def _pair_bits(host: Graph) -> list[list[int]]:
-    n = host.order
-    bits = [[0] * n for _ in range(n)]
-    for i, (u, v) in enumerate(host.edges):
-        bits[u][v] = bits[v][u] = 1 << i
-    return bits
+# order) is in the copy.  bits[u][v] (Graph.edge_bits) is the mask of edge
+# uv, 0 for a non-edge, so each enumerator ORs a copy together as its DFS
+# goes.
 
 
 def _star_copies(bits, n: int, emit) -> None:
@@ -226,7 +223,7 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
     if pattern.edge_count == 0:
         # an edgeless target sits inside every coloring of a large-enough host
         return [0]
-    bits = _pair_bits(host)
+    bits = host.edge_bits
     seen: set[int] = set()
 
     def emit(mask: int) -> None:
@@ -258,7 +255,52 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
 
 
 # ---------------------------------------------------------------------------
-# Clause-propagation search
+# Clause-propagation search on copy lanes
+#
+# Copy j of a target is lane j: bit j of an int that spans the target's
+# copies.  lanes[e] has bit j set when copy j contains host edge e, so one
+# big-int operation visits every copy through an edge.
+
+_LANE_BLOCK = 4096  # copies transposed at a time (a multiple of 8)
+# _BIT_DIGIT[t] maps each byte to b"1" when its bit t is set, else to b"0"
+_BIT_DIGIT = [bytes(48 + (x >> t & 1) for x in range(256)) for t in range(8)]
+
+
+def _lanes(copies: list[int], k: int, m: int) -> list[int]:
+    """The transposed copy masks: bit j of lanes[e] is set when copies[j] contains edge e.
+
+    k is the edge count of every copy and m the host's.  With at most six
+    copies per edge on average, each copy ORs its lane into the lanes of its
+    edges, which is the quicker way there.  Otherwise each block of
+    _LANE_BLOCK copies is written out as little-endian bytes, last copy
+    first, so that the strided slice of byte e // 8 of every copy, mapped to
+    binary digits by bit e % 8, spells the block's lane of e: a few calls
+    per edge and block, where the OR loop's cost grows with copies times
+    edges.
+    """
+    if len(copies) * k <= 6 * m:
+        lanes = [0] * m
+        lane = 1
+        for mask in copies:
+            while mask:
+                e = mask.bit_length() - 1
+                lanes[e] |= lane
+                mask ^= 1 << e
+            lane <<= 1
+        return lanes
+    width = (m + 7) >> 3
+    blocks = []
+    for lo in range(0, len(copies), _LANE_BLOCK):
+        data = b"".join([mask.to_bytes(width, "little")
+                         for mask in reversed(copies[lo:lo + _LANE_BLOCK])])
+        blocks.append([int(data[e >> 3::width].translate(_BIT_DIGIT[e & 7]), 2)
+                       for e in range(m)])
+    if len(blocks) == 1:
+        return blocks[0]
+    size = _LANE_BLOCK >> 3
+    return [int.from_bytes(b"".join([block[e].to_bytes(size, "little") for block in blocks]),
+                           "little")
+            for e in range(m)]
 
 
 def _branch_order(host: Graph, deterministic: bool) -> list[int]:
@@ -274,24 +316,33 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
     """Yield each free coloring of the host as its red edge mask, in DFS order.
 
     An explicit-stack DFS over the edges in branch order, with unit
-    propagation over copy clauses held as edge bitmasks.  The state is the
-    pair (red, blue) of edge masks, so backtracking restores a saved pair;
-    each decision tries RED before BLUE, and symmetric (for red == blue)
-    fixes the first free edge RED.  occ[c][e] lists the masks of the copies
-    that forbid color c and contain edge e; coloring e with c visits only
-    those, skipping a copy that already has an edge of the other color,
-    failing on one whose edges all have color c, and queueing the last free
-    edge of a copy with one left for the other color.
+    propagation over the copy clauses ("some edge of a red copy is blue"
+    and vice versa); each decision tries RED before BLUE, and symmetric
+    (for red == blue) fixes the first free edge RED.
+
+    Copy j of targets[c] is lane j of color c, and lanes[c][e] has bit j
+    set when that copy contains edge e.  A state is one flat list: the red
+    and blue edge masks; per color, the alive lanes (copies with no edge of
+    the other color) and the unit lanes (alive copies with one free edge);
+    then per color, the free-edge count minus two of each other alive copy,
+    bit-sliced over (k - 2).bit_length() plane ints, k the target's edge
+    count.  Coloring e with c kills the lanes of the other color through e.
+    Of the alive lanes of c through e, a unit lane is a copy now all c, a
+    conflict; the others take a ripple-borrow decrement, and the borrow out
+    of the last plane is the set of new unit lanes, each of whose one free
+    edge is queued for the other color, lowest lane first.  A step builds a
+    new state, so backtracking restores a saved one.
 
     When either target has more than copy_cap copies, both sides learn
     their clauses instead: every state the search reaches has no
     monochromatic copy, so coloring e with c (by a decision or by
     propagation) asks copy_through for a copy through e in the grown class.
-    A copy found is a conflict, and it joins occ[c] as a clause for later
-    propagation.  For that query the learned-mode state also carries the
-    adjacency rows of each color class, (red, blue, red rows, blue rows);
-    step grows them with each colored edge, and backtracking restores them
-    with the rest of the state.
+    A copy found is a conflict and becomes a new lane of c; a state popped
+    from the DFS stack first takes in the lanes learned since it was
+    pushed, counted from its own edge masks, so learned clauses propagate
+    in every later branch.  For that query the learned-mode state also
+    carries the adjacency rows of each color class, which step grows with
+    each colored edge.
 
     stats gets nodes (current at each yield), propagation_mode and
     budget_exhausted; the search stops once nodes passes the budget.
@@ -299,85 +350,136 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
     n, m = host.order, host.edge_count
     edges = host.edges
     bit = [1 << e for e in range(m)]
-    full = (1 << m) - 1
     targets = (red, blue)
     try:
         copies = [enumerate_copies(host, t, copy_cap) for t in targets]
     except CopyCapError:
         stats.propagation_mode = "learned"
-        copies = [None, None]
-    # an edgeless target that fits is in every color class, so no coloring is free
-    if any(not p.edge_count and p.order <= n for p in map(_pattern, targets)):
-        return
-    occ = ([[] for _ in range(m)], [[] for _ in range(m)])
-    learning = copies[RED] is None
+        copies = None
+    sizes = []
+    for t in targets:
+        p = _pattern(t)
+        # an edgeless target that fits is in every color class, so no coloring is free
+        if not p.edge_count and p.order <= n:
+            return
+        sizes.append(p.edge_count)
+    learning = copies is None
     if learning:
+        copies = [[], []]
         index = host.edge_index
-    else:
-        for forbid in (RED, BLUE):
-            lists = occ[forbid]
-            for mask in copies[forbid]:
-                rest = mask
-                while rest:
-                    e = rest.bit_length() - 1
-                    lists[e].append(mask)
-                    rest ^= bit[e]
+    lanes = [_lanes(cps, k, m) for cps, k in zip(copies, sizes)]
+    learned = []  # (color, lane) of each learned copy, in the order learned
 
     def learn(rows, e, c):
-        # a copy of targets[c] through e in the class with adjacency rows
+        # a copy of targets[c] through e in the class with adjacency rows, as a new lane
         copy = copy_through(Graph._raw(n, rows), targets[c], *edges[e])
         if copy is None:
             return False
-        ids = [index[(a, b) if a < b else (b, a)] for a, b in copy]
-        mask = sum(bit[i] for i in ids)
-        for i in ids:
-            occ[c][i].append(mask)
+        j = len(copies[c])
+        lane = 1 << j
+        mask = 0
+        for a, b in copy:
+            i = index[(a, b) if a < b else (b, a)]
+            mask |= bit[i]
+            lanes[c][i] |= lane
+        copies[c].append(mask)
+        learned.append((c, j))
         return True
 
     def step(state, e, c):
         # state with edge e colored c and its consequences, or None on a conflict
-        masks = list(state)
+        s = list(state)
         queue = [(e, c)]
         while queue:
             e, c = queue.pop()
             b = bit[e]
-            if masks[c] & b:
+            if s[c] & b:
                 continue
             flip = 1 - c
-            other = masks[flip]
-            if other & b:
+            if s[flip] & b:
                 return None
-            same = masks[c] = masks[c] | b
-            free = full ^ same
-            for mask in occ[c][e]:
-                if not mask & other:
-                    rem = mask & free
-                    if not rem & (rem - 1):
-                        if not rem:
-                            return None
-                        queue.append((rem.bit_length() - 1, flip))
+            s[c] |= b
+            s[2 + flip] &= ~lanes[flip][e]
+            hit = lanes[c][e] & s[2 + c]
+            if hit:
+                if hit & s[4 + c]:
+                    return None  # a copy of targets[c] is now all c
+                for i in planes[c]:
+                    p = s[i]
+                    s[i] = p ^ hit
+                    hit &= ~p
+                    if not hit:
+                        break
+                else:
+                    # the borrow out of the last plane: copies left with one free edge
+                    s[4 + c] |= hit
+                    free = ~(s[RED] | s[BLUE])
+                    cps = copies[c]
+                    while hit:
+                        low = hit & -hit
+                        hit ^= low
+                        queue.append(((cps[low.bit_length() - 1] & free).bit_length() - 1, flip))
             if learning:
                 x, y = edges[e]
-                rows = list(masks[2 + c])
+                rows = list(s[rows_at + c])
                 rows[x] |= 1 << y
                 rows[y] |= 1 << x
-                masks[2 + c] = rows = tuple(rows)
+                s[rows_at + c] = rows = tuple(rows)
                 if learn(rows, e, c):
                     return None
-        return tuple(masks)
+        return s
+
+    def catch_up(state, since):
+        # the state with the lanes learned after learned[:since], counted from its edge masks
+        s = list(state)
+        free = ~(s[RED] | s[BLUE])
+        for c, j in learned[since:]:
+            mask = copies[c][j]
+            if mask & s[1 - c]:
+                continue
+            lane = 1 << j
+            s[2 + c] |= lane
+            count = (mask & free).bit_count()
+            if count == 1:
+                s[4 + c] |= lane
+            else:
+                for shift, i in enumerate(planes[c]):
+                    if count - 2 >> shift & 1:
+                        s[i] |= lane
+        return s
 
     def skip(state, oi):
         # the first order position from oi whose edge is still uncolored
-        assigned = state[0] | state[1]
+        assigned = state[RED] | state[BLUE]
         while oi < m and assigned & bit[order[oi]]:
             oi += 1
         return oi
 
+    # the state: red, blue, alive[RED], alive[BLUE], unit[RED], unit[BLUE], the
+    # planes of color c at the indices planes[c], and in learned mode the rows
+    # of color class c at rows_at + c
+    state = [0, 0, 0, 0, 0, 0]
+    planes = []
+    for c in (RED, BLUE):
+        every = state[2 + c] = (1 << len(copies[c])) - 1
+        # each copy starts with its k edges free: one-edge copies are units,
+        # and the others count k - 2
+        count = sizes[c] - 2
+        if count < 0:
+            state[4 + c] = every
+        first = len(state)
+        while count > 0:
+            state.append(every if count & 1 else 0)
+            count >>= 1
+        planes.append(range(first, len(state)))
+    rows_at = len(state)
+    if learning:
+        state += [(0,) * n, (0,) * n]
+
     # one-edge copies fix their edge before any decision
-    state = (0, 0, (0,) * n, (0,) * n) if learning else (0, 0)
     for forbid in (RED, BLUE):
-        for mask in copies[forbid] or ():
-            if not mask & (mask - 1):
+        if sizes[forbid] == 1:
+            for mask in copies[forbid]:
                 state = step(state, mask.bit_length() - 1, 1 - forbid)
                 if state is None:
                     return
@@ -390,7 +492,8 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
                 return
 
     nodes = 0
-    stack = []  # (order position, state before it) of decisions whose BLUE branch is open
+    # (order position, state before it, len(learned) then) of decisions whose BLUE branch is open
+    stack = []
     oi = skip(state, 0)
     while True:
         if oi == m:
@@ -401,14 +504,16 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
             if budget is not None and nodes > budget:
                 stats.nodes, stats.budget_exhausted = nodes, True
                 return
-            stack.append((oi, state))
+            stack.append((oi, state, len(learned)))
             nxt = step(state, order[oi], RED)
             if nxt is not None:
                 state = nxt
                 oi = skip(state, oi + 1)
                 continue
         while stack:
-            oi, state = stack.pop()
+            oi, state, since = stack.pop()
+            if since < len(learned):
+                state = catch_up(state, since)
             nxt = step(state, order[oi], BLUE)
             if nxt is not None:
                 state = nxt

@@ -28,7 +28,7 @@ def _check_order(order: int) -> None:
 class Graph:
     """Immutable simple undirected graph with bitmask adjacency rows."""
 
-    __slots__ = ("order", "adj", "_edge_list", "_edge_index")
+    __slots__ = ("order", "adj", "_edge_list", "_edge_index", "_edge_bits")
 
     def __init__(self, order: int, adj):
         adj = tuple(adj)
@@ -49,6 +49,7 @@ class Graph:
         self.adj = adj
         self._edge_list = None
         self._edge_index = None
+        self._edge_bits = None
 
     @classmethod
     def _raw(cls, order: int, adj: tuple[int, ...]) -> "Graph":
@@ -58,6 +59,7 @@ class Graph:
         g.adj = adj
         g._edge_list = None
         g._edge_index = None
+        g._edge_bits = None
         return g
 
     @classmethod
@@ -92,6 +94,17 @@ class Graph:
         if self._edge_index is None:
             self._edge_index = {e: i for i, e in enumerate(self.edges)}
         return self._edge_index
+
+    @property
+    def edge_bits(self) -> tuple[tuple[int, ...], ...]:
+        """edge_bits[u][v] is 1 << i for the edge uv of canonical index i, and 0 for a non-edge."""
+        if self._edge_bits is None:
+            n = self.order
+            bits = [[0] * n for _ in range(n)]
+            for i, (u, v) in enumerate(self.edges):
+                bits[u][v] = bits[v][u] = 1 << i
+            self._edge_bits = tuple(map(tuple, bits))
+        return self._edge_bits
 
     @property
     def edge_count(self) -> int:
@@ -337,7 +350,7 @@ def _realize_edges(spec: GraphSpec) -> tuple[int, list[tuple[int, int]]]:
 def realize(spec: GraphSpec) -> Graph:
     """Deterministic labeled realization of a graph expression.
 
-    Left subexpressions occupy the lower vertex indices; Minus deletes on
+    Left subexpressions take the lower vertex indices; Minus deletes on
     the lowest-indexed vertices.
     """
     order = spec_order(spec)
@@ -357,6 +370,12 @@ def realize(spec: GraphSpec) -> Graph:
 _LEAVES = {"K": Complete, "P": Path, "S": Star, "B": Book, "F": Fan, "M": Matching, "E": Empty}
 # The binary operators, loosest first: (class, symbol, separator when printed).
 _BINARY = ((Union, "u", " u "), (Join, "+", " + "), (Minus, "\\", "\\"))
+# Each operator or parenthesis can nest an expression one level deeper, and
+# parsing, checking and realizing a spec take Python frames per level, so a
+# spec may hold at most _MAX_NESTING of them: more than the 63 unions or
+# joins a spec within the vertex cap can use, and few enough to stay well
+# inside the interpreter's recursion limit.
+_MAX_NESTING = 150
 
 
 class _Parser:
@@ -387,6 +406,10 @@ class _Parser:
         return value
 
     def parse(self) -> GraphSpec:
+        nesting = [i for i, ch in enumerate(self.text) if ch in "(*u+\\"]
+        if len(nesting) > _MAX_NESTING:
+            self.pos = nesting[_MAX_NESTING]
+            self.error(f"more than {_MAX_NESTING} operators and parentheses")
         self.skip_ws()
         spec = self.parse_binary(0)
         self.skip_ws()

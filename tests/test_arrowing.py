@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from ramarrow.arrowing import (
     enumerate_copies,
     export_dimacs,
     ramsey_number,
+    _lanes,
 )
 from ramarrow.coloring import BLUE, RED, Coloring, monochromatic_subgraph
 from ramarrow.containment import Generic, contains_target, target_to_spec
@@ -29,6 +32,8 @@ from ramarrow.graphs import (
     parse_spec,
     realize,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 TARGET_POOL = [
     Complete(2), Complete(3), Star(1), Star(2), Star(3),
@@ -79,6 +84,15 @@ def test_copy_cap():
     assert len(enumerate_copies(k7, Path(7), cap=2520)) == 2520
     with pytest.raises(CopyCapError, match="more than 2519 target copies"):
         enumerate_copies(k7, Path(7), cap=2519)
+
+
+def test_lanes_transpose_the_copies():
+    # a few copies per edge, one block of bytes, and several blocks (4,096 copies each)
+    rng = random.Random(7)
+    for count, k, m in [(5, 3, 12), (300, 5, 40), (9000, 6, 70)]:
+        copies = sorted({sum(1 << e for e in rng.sample(range(m), k)) for _ in range(count)})
+        want = [sum(1 << j for j, mask in enumerate(copies) if mask >> e & 1) for e in range(m)]
+        assert _lanes(copies, k, m) == want, (count, k, m)
 
 
 # --- arrows ------------------------------------------------------------------
@@ -302,6 +316,43 @@ def test_engine_output_is_pinned():
     # bit i of red is host edge i (canonical order), so edge 0 is the lowest bit
     assert colorings[0].red == 0b011110110000111
     assert colorings[-1].red == 0b001101110000000
+
+
+@pytest.mark.parametrize(
+    "order, copies, verdict, nodes",
+    [(10, 15120, "arrows", 90), (8, 3360, "counterexample", 23)],
+)
+def test_many_copies_per_edge_are_pinned(order, copies, verdict, nodes):
+    # enough P5 copies per edge that their lanes are built from bytes, over
+    # several blocks on K10
+    host = realize(Complete(order))
+    assert len(enumerate_copies(host, Path(5))) == copies
+    for deterministic in (False, True):
+        result = arrows(host, Path(5), Complete(3), deterministic=deterministic)
+        assert (result.verdict, result.stats.nodes) == (verdict, nodes)
+        if result.counterexample is not None:
+            assert check_free(result.counterexample, Path(5), Complete(3)).red == 264249735
+
+
+def _learned_grid() -> dict[str, list]:
+    """Verdict and node count of deterministic learned-mode searches on K4..K7."""
+    grid = {}
+    for order in range(4, 8):
+        host = realize(Complete(order))
+        for red in ("K3", "P3", "P4", "B2", "S2", "M2"):
+            for blue in ("K3", "P3", "S2"):
+                result = arrows(host, parse_spec(red), parse_spec(blue),
+                                copy_cap=0, deterministic=True)
+                grid[f"K{order} {red} {blue}"] = [result.verdict, result.stats.nodes]
+    return grid
+
+
+def test_learned_propagation_order_is_pinned():
+    # learned_grid.json holds _learned_grid() (72 searches).  Past the cap the
+    # node counts depend on the order in which units of learned copies are
+    # queued, lowest copy first: K7 (P4,K3) takes 176 nodes, and 178 when the
+    # highest copy goes first.
+    assert _learned_grid() == json.loads((DATA / "learned_grid.json").read_text())
 
 
 @pytest.mark.parametrize(

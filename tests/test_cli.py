@@ -60,6 +60,13 @@ def test_exit_code_usage(capsys):
     assert code == 3
 
 
+def test_exit_code_deeply_nested_spec(capsys):
+    host = "(" * 200 + "K3" + ")" * 200
+    code, out, err = run_cli(capsys, "arrows", "--host", host, "--red", "K2", "--blue", "K2")
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: more than 150 operators and parentheses at position 150")
+
+
 def test_exit_code_negative_budget(capsys):
     for argv in (
         ["arrows", "--host", "K6", "--red", "K3", "--blue", "K3"],

@@ -84,6 +84,17 @@ def test_parse_errors_carry_position():
         assert str(info.value) == f"{message} in {text!r}"
 
 
+def test_deep_nesting_is_a_spec_error():
+    # 150 levels parse and realize: parentheses, copy counts and a chain of operators
+    chain = "\\".join(["K9"] + ["P2"] * 150)
+    assert parse_spec("(" * 150 + "K3" + ")" * 150) == Complete(3)
+    assert realize(parse_spec("1*" * 150 + "K3")) == realize(Complete(3))
+    assert realize(parse_spec(chain)).edge_count == 35
+    for text in ("(" * 151 + "K3" + ")" * 151, "1*" * 151 + "K3", chain + "\\P2"):
+        with pytest.raises(SpecError, match="more than 150 operators and parentheses"):
+            parse_spec(text)
+
+
 def test_minus_size_violation():
     with pytest.raises(SpecError):
         parse_spec("K3\\P5")
