@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import formulas
 from .arrowing import all_free_colorings, check_free
-from .coloring import BLUE, RED, Coloring, monochromatic_subgraph
+from .coloring import RED, Coloring, monochromatic_subgraph
 from .containment import TargetKind
 from .graphs import (
     Complete,
@@ -30,8 +30,6 @@ from .graphs import (
 class WitnessReport:
     coloring: Coloring
     host_spec: GraphSpec
-    red_free: bool
-    blue_free: bool
     parameters: dict
 
 
@@ -75,8 +73,6 @@ def block_coloring_witness(G: GraphSpec, H: GraphSpec, r: int) -> WitnessReport:
     return WitnessReport(
         coloring=coloring,
         host_spec=host_spec,
-        red_free=True,
-        blue_free=True,
         parameters={"k": k, "t": t, "s": s, "r": r, "n": n},
     )
 
@@ -105,7 +101,13 @@ def odd_clique_pair(n: int, i: int) -> Coloring:
 
 
 def enumerate_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> list[Coloring]:
-    """One representative per color-preserving isomorphism class."""
+    """One representative per color-preserving isomorphism class.
+
+    Each class keeps the first of its colorings that all_free_colorings
+    yields.  The list is sorted by canonical_coloring_key, so its order
+    follows the key's values and can move when the key changes; the set of
+    representatives does not.
+    """
     representatives: dict[tuple, Coloring] = {}
     for coloring in all_free_colorings(host, red, blue):
         key = canonical_coloring_key(coloring)
@@ -114,80 +116,140 @@ def enumerate_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> 
 
 
 # ---------------------------------------------------------------------------
-# Color-aware canonical labeling: equitable refinement on (red-degree,
-# blue-degree) signatures plus individualization backtracking, minimizing
-# the relabeled pair-state string.
+# Color-aware canonical labeling by individualization-refinement with
+# automorphism pruning (McKay, "Practical graph isomorphism", Congr. Numer. 30
+# (1981); McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
+# Comput. 60 (2014)).  An ordered partition is a list of vertex-bitmask cells.
+# Refinement pops splitters S from a queue and splits every cell on the counts
+# (|R[v] & S|, |B[v] & S|); the pieces replace the cell in signature order and
+# are queued, so the result commutes with relabeling.  The root queues the
+# vertex set; individualizing v in the first non-singleton cell puts {v} ahead
+# of the rest of that cell and queues {v} alone.  A discrete leaf gives a
+# certificate, and the key is the least one.  Two leaves with equal
+# certificates give an automorphism: the search jumps back to the node where
+# their paths part, and at every node skips a child in the orbit of an
+# explored child under the automorphisms found that fix the node's path.
 
 
 def canonical_coloring_key(coloring: Coloring) -> tuple[int, ...]:
     """Complete invariant for colored-graph isomorphism on one host.
 
     Two colorings get equal keys iff some vertex relabeling maps host edges
-    to host edges preserving edge colors.
+    to host edges preserving edge colors.  The key is the least certificate
+    over the leaves of the individualization-refinement tree: the red rows of
+    the relabeled coloring followed by its blue rows.  Subtrees that a found
+    automorphism maps onto explored ones are skipped, so a coloring with many
+    automorphisms (an odd-clique pair, say) visits a few leaves, not all.
     """
-    n = coloring.host.order
-    red_rows = monochromatic_subgraph(coloring, RED).adj
-    blue_rows = monochromatic_subgraph(coloring, BLUE).adj
+    host = coloring.host
+    n = host.order
+    edges = host.edges
+    red = [0] * n
+    mask = coloring.red
+    while mask:
+        low = mask & -mask
+        u, v = edges[low.bit_length() - 1]
+        red[u] |= 1 << v
+        red[v] |= 1 << u
+        mask ^= low
+    # vertices are single bits from here on: rows[1 << v] = (red row, blue row)
+    rows = {1 << v: (r, adj & ~r) for v, (r, adj) in enumerate(zip(red, host.adj))}
+    shift = n + 1
 
-    def refine(cells: list[list[int]]) -> list[list[int]]:
-        while True:
-            masks = []
+    def refine(cells: list[int], queue: list[int]) -> list[int]:
+        for s in queue:  # pieces queued while popping are popped in turn
+            if len(cells) == n:
+                break
+            out = []
             for cell in cells:
-                m = 0
-                for v in cell:
-                    m |= 1 << v
-                masks.append(m)
-            split_done = False
-            for ci, cell in enumerate(cells):
-                if len(cell) == 1:
+                if not cell & (cell - 1):
+                    out.append(cell)
                     continue
-                buckets: dict[tuple, list[int]] = {}
-                for v in cell:
-                    sig = tuple(
-                        ((red_rows[v] & m).bit_count(), (blue_rows[v] & m).bit_count())
-                        for m in masks
-                    )
-                    buckets.setdefault(sig, []).append(v)
-                if len(buckets) > 1:
-                    cells[ci : ci + 1] = [buckets[s] for s in sorted(buckets)]
-                    split_done = True
-                    break
-            if not split_done:
-                return cells
-
-    def leaf_key(cells: list[list[int]]) -> tuple[int, ...]:
-        perm = [cell[0] for cell in cells]
-        key = []
-        for a in range(n):
-            va = perm[a]
-            for b in range(a + 1, n):
-                vb = perm[b]
-                if red_rows[va] >> vb & 1:
-                    key.append(1)
-                elif blue_rows[va] >> vb & 1:
-                    key.append(2)
+                groups: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    r, b = rows[low]
+                    sig = (r & s).bit_count() * shift + (b & s).bit_count()
+                    groups[sig] = groups.get(sig, 0) | low
+                    rest ^= low
+                if len(groups) == 1:
+                    out.append(cell)
                 else:
-                    key.append(0)
-        return tuple(key)
+                    pieces = [groups[sig] for sig in sorted(groups)]
+                    out += pieces
+                    queue += pieces
+            cells = out
+        return cells
 
-    best: tuple[int, ...] | None = None
+    leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    autos: list[dict[int, int]] = []
 
-    def descend(cells: list[list[int]]) -> None:
-        nonlocal best
-        cells = refine([list(c) for c in cells])
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1:
-                for v in sorted(cell):
-                    rest = [u for u in cell if u != v]
-                    descend(cells[:ci] + [[v], rest] + cells[ci + 1 :])
-                return
-        key = leaf_key(cells)
-        if best is None or key < best:
-            best = key
+    def orbits(explored: int, path: list[int]) -> int:
+        """Closure of explored under the automorphisms that fix path pointwise."""
+        gens = [g for g in autos if all(g[x] == x for x in path)]
+        while True:
+            grown = explored
+            for g in gens:
+                rest = explored
+                while rest:
+                    low = rest & -rest
+                    grown |= g[low]
+                    rest ^= low
+            if grown == explored:
+                return explored
+            explored = grown
 
-    descend([list(range(n))] if n else [])
-    assert best is not None
-    return best
+    def descend(cells: list[int], path: list[int]) -> int:
+        """Search below a node; return the depth to resume at."""
+        depth = len(path)
+        if len(cells) == n:
+            position = {v: 1 << i for i, v in enumerate(cells)}
+            cert = []
+            for side in (0, 1):
+                for v in cells:
+                    row, image = rows[v][side], 0
+                    while row:
+                        low = row & -row
+                        image |= position[low]
+                        row ^= low
+                    cert.append(image)
+            cert = tuple(cert)
+            seen = leaves.get(cert)
+            if seen is None:
+                leaves[cert] = (path, cells)
+                return depth
+            # The map between the two leaves is an automorphism fixing their
+            # common path, so the rest of this subtree mirrors one already
+            # explored: resume where the paths part.
+            other_path, other_cells = seen
+            autos.append(dict(zip(other_cells, cells)))
+            split = 0
+            while other_path[split] == path[split]:
+                split += 1
+            return split
+        t = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+        cell = cells[t]
+        explored = 0
+        rest = cell
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            if autos and orbits(explored, path) & v:
+                continue
+            explored |= v
+            child = cells[:t] + [v, cell ^ v] + cells[t + 1:]
+            resume = descend(refine(child, [v]), path + [v])
+            if resume < depth:
+                return resume
+        return depth
+
+    everything = (1 << n) - 1
+    descend(refine([everything], [everything]), [])
+    # descend's closure holds descend itself: unbinding it lets reference
+    # counting free the search state now, not the cycle collector later
+    del descend
+    return min(leaves)
 
 
 def witness_payload(report: WitnessReport) -> dict:
@@ -198,5 +260,4 @@ def witness_payload(report: WitnessReport) -> dict:
         "red_graph6": graph6_encode(red_side),
         "coloring": report.coloring.edge_triples(),
         "parameters": dict(report.parameters),
-        "freeness": {"red": report.red_free, "blue": report.blue_free},
     }

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the verification suites.
 
-Nothing here shares code with the search engine or the detectors: the
-containment oracle tries raw injections, the arrowing oracle enumerates
+Nothing here shares code with the search engine, the detectors or the
+canonical keys: the containment oracle tries raw injections, the
+isomorphism oracle tries every relabeling, the arrowing oracle enumerates
 all 2^e colorings, the CNF oracle is a tiny standalone DPLL, and the
 longest-path oracle is plain DFS.  They exist to be slow and obviously
 correct.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations, product
 
+from .coloring import Coloring
 from .graphs import Graph
 
 
@@ -59,6 +61,30 @@ def brute_copy_masks(host: Graph, pattern: Graph) -> list[int]:
         if mask >= 0:
             masks.add(mask)
     return sorted(masks)
+
+
+def brute_color_isomorphic(a: Coloring, b: Coloring) -> bool:
+    """Colored-graph isomorphism by trying every vertex relabeling.
+
+    They are isomorphic when some permutation of the vertices maps the host
+    edges of a onto those of b, red edges onto red ones.
+    """
+    n = a.host.order
+    if n != b.host.order:
+        return False
+
+    def pair_states(coloring) -> dict[tuple[int, int], bool]:
+        """(u, v) with u < v -> True for a red edge, False for a blue one."""
+        return {edge: bool(coloring.red >> i & 1) for i, edge in enumerate(coloring.host.edges)}
+
+    states_a, states_b = pair_states(a), pair_states(b)
+    if len(states_a) != len(states_b):
+        return False
+    for perm in permutations(range(n)):
+        if all(states_b.get((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u]))
+               == red for (u, v), red in states_a.items()):
+            return True
+    return False
 
 
 def naive_arrows(host: Graph, red_pattern: Graph, blue_pattern: Graph) -> bool:

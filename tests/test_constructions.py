@@ -1,5 +1,6 @@
+import json
 import random
-from itertools import permutations
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -20,6 +21,7 @@ from ramarrow.graphs import (
     Complete,
     Empty,
     Fan,
+    Graph,
     Join,
     Matching,
     Minus,
@@ -27,9 +29,12 @@ from ramarrow.graphs import (
     Star,
     Union,
     graph6_decode,
+    parse_spec,
     realize,
     stats,
 )
+
+DATA = FilePath(__file__).parent / "data"
 
 
 # --- block coloring witnesses --------------------------------------------------
@@ -39,9 +44,10 @@ def test_witness_star3_triangle():
     report = block_coloring_witness(Star(3), Complete(3), 7)
     assert report.host_spec == Minus(Complete(7), Path(4))
     assert report.parameters == {"k": 3, "t": 1, "s": 1, "r": 7, "n": 4}
-    assert report.red_free and report.blue_free
     red = monochromatic_subgraph(report.coloring, RED)
     blue = monochromatic_subgraph(report.coloring, BLUE)
+    assert not oracles.brute_contains(red, realize(Star(3)))
+    assert not oracles.brute_contains(blue, realize(Complete(3)))
     # red side: the deleted-path block first, then a K_3 block
     assert red == realize(Union(Minus(Complete(4), Path(4)), Complete(3)))
     assert blue == realize(Join(Empty(4), Empty(3)))
@@ -86,10 +92,14 @@ def test_witness_payload_round_trip():
     report = block_coloring_witness(Star(3), Complete(3), 7)
     payload = witness_payload(report)
     assert payload["host"] == "K7\\P4"
-    assert payload["freeness"] == {"red": True, "blue": True}
+    assert set(payload) == {"host", "red_graph6", "coloring", "parameters"}
     assert payload["parameters"]["r"] == 7
     assert graph6_decode(payload["red_graph6"]) == monochromatic_subgraph(report.coloring, RED)
-    assert all(len(t) == 3 for t in payload["coloring"])
+    # the exported coloring is free on its own, re-checked by brute force
+    coloring = Coloring.from_edge_triples(realize(parse_spec(payload["host"])), payload["coloring"])
+    assert coloring == report.coloring
+    assert not oracles.brute_contains(monochromatic_subgraph(coloring, RED), realize(Star(3)))
+    assert not oracles.brute_contains(monochromatic_subgraph(coloring, BLUE), realize(Complete(3)))
 
 
 # --- the odd-clique-pair family -------------------------------------------------
@@ -167,29 +177,35 @@ def test_every_enumerated_coloring_is_free():
 # --- canonical labeling -----------------------------------------------------------
 
 
-def _brute_color_isomorphic(a: Coloring, b: Coloring) -> bool:
-    host_a, host_b = a.host, b.host
-    if host_a.order != host_b.order:
-        return False
-    n = host_a.order
-    for perm in permutations(range(n)):
-        ok = True
-        for u in range(n):
-            for v in range(u + 1, n):
-                ea = host_a.edge_index.get((u, v))
-                pu, pv = perm[u], perm[v]
-                eb = host_b.edge_index.get((pu, pv) if pu < pv else (pv, pu))
-                if (ea is None) != (eb is None):
-                    ok = False
-                    break
-                if ea is not None and a.red >> ea & 1 != b.red >> eb & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+def _relabeled(coloring: Coloring, perm: list[int]) -> Coloring:
+    """The same coloring with vertex v renamed perm[v], on the renamed host."""
+    host = Graph.from_edges(coloring.host.order,
+                            [(perm[u], perm[v]) for u, v in coloring.host.edges])
+    return Coloring.from_edge_triples(
+        host, [[perm[u], perm[v], c] for u, v, c in coloring.edge_triples()]
+    )
+
+
+def _red_where(host: Graph, red_pair) -> Coloring:
+    """Red on the host edges uv with red_pair(u, v), blue elsewhere."""
+    return Coloring(host, sum(1 << i for i, (u, v) in enumerate(host.edges) if red_pair(u, v)))
+
+
+def _symmetric_colorings(host: Graph) -> list[Coloring]:
+    """All red, all blue, block colorings (odd-clique pairs among them), red
+    cycles and a red K3,3: colorings whose automorphisms the key prunes on."""
+    n = host.order
+    colorings = [Coloring(host, 0), Coloring(host, (1 << host.edge_count) - 1)]
+    for sizes in ([1, n - 1], [3, n - 3], [2, 2, n - 4], [n // 2, n - n // 2]):
+        if min(sizes) >= 1:
+            block = [b for b, size in enumerate(sizes) for _ in range(size)]
+            colorings.append(_red_where(host, lambda u, v: block[u] == block[v]))
+    complete = host.edge_count == n * (n - 1) // 2
+    if complete and n >= 5:
+        colorings.append(_red_where(host, lambda u, v: (v - u) % n in (1, n - 1)))  # red C_n
+    if complete and n == 6:
+        colorings.append(_red_where(host, lambda u, v: u < 3 <= v))  # red K3,3
+    return colorings
 
 
 def test_canonical_key_invariant_under_relabeling():
@@ -199,12 +215,7 @@ def test_canonical_key_invariant_under_relabeling():
         coloring = Coloring(host, rng.getrandbits(host.edge_count))
         perm = list(range(host.order))
         rng.shuffle(perm)
-        edges = [(perm[u], perm[v]) for u, v in host.edges]
-        relabeled_host = type(host).from_edges(host.order, edges)
-        relabeled = Coloring.from_edge_triples(
-            relabeled_host, [[perm[u], perm[v], c] for u, v, c in coloring.edge_triples()]
-        )
-        assert canonical_coloring_key(coloring) == canonical_coloring_key(relabeled)
+        assert canonical_coloring_key(coloring) == canonical_coloring_key(_relabeled(coloring, perm))
 
 
 def test_canonical_key_matches_brute_force_classes():
@@ -214,4 +225,85 @@ def test_canonical_key_matches_brute_force_classes():
     for a in colorings:
         for b in colorings:
             same_key = canonical_coloring_key(a) == canonical_coloring_key(b)
-            assert same_key == _brute_color_isomorphic(a, b)
+            assert same_key == oracles.brute_color_isomorphic(a, b)
+
+
+def test_canonical_key_is_exact_on_symmetric_pool():
+    # Hosts of 1-6 vertices (a graph has at least one): complete and random
+    # non-complete ones, each with high-symmetry, random and relabeled
+    # colorings.  Keys must be equal exactly on the isomorphic pairs.
+    rng = random.Random(29)
+    pool = []
+    for n in range(1, 7):
+        hosts = [realize(Complete(n))]
+        hosts += [oracles.random_graph(rng, n, rng.uniform(0.4, 0.8)) for _ in range(2)]
+        for host in hosts:
+            colorings = _symmetric_colorings(host)
+            colorings += [Coloring(host, rng.getrandbits(host.edge_count)) for _ in range(3)]
+            for coloring in list(colorings):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                colorings.append(_relabeled(coloring, perm))
+            pool += colorings
+    keys = [canonical_coloring_key(c) for c in pool]
+    isomorphic_pairs = 0
+    for i, a in enumerate(pool):
+        for j in range(i + 1, len(pool)):
+            same = oracles.brute_color_isomorphic(a, pool[j])
+            assert (keys[i] == keys[j]) == same, (a, pool[j])
+            isomorphic_pairs += same
+    assert isomorphic_pairs >= len(pool) // 2  # every relabeled copy at least
+
+
+def _red_cycles(lengths) -> Coloring:
+    """Red disjoint cycles of the given lengths on a complete host."""
+    n = sum(lengths)
+    nxt, start = {}, 0
+    for k in lengths:
+        for i in range(k):
+            nxt[start + i] = start + (i + 1) % k
+        start += k
+    return _red_where(realize(Complete(n)), lambda u, v: nxt[u] == v or nxt[v] == u)
+
+
+@pytest.mark.parametrize("lengths", [(3, 4), (3, 3, 4), (3, 4, 5), (3, 3, 4, 4)],
+                         ids=lambda lengths: "+".join(f"C{k}" for k in lengths))
+def test_canonical_key_is_invariant_when_cells_hold_several_orbits(lengths):
+    # Every vertex has red degree 2, so refinement cannot tell the cycles
+    # apart: the root cell, and after one individualization the cell of the
+    # other cycles, each hold several orbits.  Pruning must still reach the
+    # least leaf from every labeling, and never merge the orbits.
+    rng = random.Random(30)
+    coloring = _red_cycles(lengths)
+    key = canonical_coloring_key(coloring)
+    for _ in range(20):
+        perm = list(range(coloring.host.order))
+        rng.shuffle(perm)
+        assert canonical_coloring_key(_relabeled(coloring, perm)) == key
+    assert key != canonical_coloring_key(_red_cycles([sum(lengths)]))
+
+
+def test_free_coloring_representatives_are_pinned():
+    # free_coloring_representatives.json: the sorted red masks of each
+    # question's representatives.  Each class keeps its first coloring in the
+    # search order, so the set of masks does not depend on the key; only the
+    # order of enumerate_free_colorings output may move with it.
+    pinned = json.loads((DATA / "free_coloring_representatives.json").read_text())
+    for question, masks in pinned.items():
+        host, red, blue = (parse_spec(text) for text in question.split())
+        reps = enumerate_free_colorings(realize(host), red, blue)
+        assert sorted(c.red for c in reps) == masks, question
+
+
+# (K3,K4)-free colorings of K_n: labeled colorings and classes.  The classes
+# are the (3,4)-Ramsey graphs on n vertices (McKay's census); K8's 3 are the
+# published ones on 8 vertices, and K9 has none since R(3,4) = 9.
+K3K4_CLASSES = [(1, 1, 1), (2, 2, 2), (3, 7, 3), (4, 40, 6), (5, 322, 9),
+                (6, 2812, 15), (7, 13842, 9), (8, 17640, 3)]
+
+
+@pytest.mark.parametrize("n, labeled, classes", K3K4_CLASSES)
+def test_k3_k4_classes_on_complete_hosts(n, labeled, classes):
+    host = realize(Complete(n))
+    assert len(all_free_colorings(host, Complete(3), Complete(4))) == labeled
+    assert len(enumerate_free_colorings(host, Complete(3), Complete(4))) == classes
