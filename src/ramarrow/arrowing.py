@@ -24,6 +24,7 @@ all_free_colorings takes them all.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -112,7 +113,10 @@ class DeletionFamily(Enum):
 # A copy is an int edge mask: bit i is set when host edge i (canonical
 # order) is in the copy.  bits[u][v] (Graph.edge_bits) is the mask of edge
 # uv, 0 for a non-edge, so each enumerator ORs a copy together as its DFS
-# goes.
+# goes.  A recursive enumerator is a closure that calls itself, which puts
+# it in a reference cycle with what it holds: emit and the copy set.  Each
+# unbinds itself in a finally block, so reference counting frees that state
+# as the call returns or raises CopyCapError, not the cycle collector later.
 
 
 def _star_copies(bits, n: int, emit) -> None:
@@ -141,7 +145,10 @@ def _clique_copies(host: Graph, bits, m: int, emit) -> None:
             else:
                 grow(chosen + [v], grown, adj[v] & cand)
 
-    grow([], 0, (1 << host.order) - 1)
+    try:
+        grow([], 0, (1 << host.order) - 1)
+    finally:
+        del grow  # break the self-reference cycle (see above)
 
 
 def _path_copies(host: Graph, bits, n: int, emit) -> None:
@@ -164,8 +171,11 @@ def _path_copies(host: Graph, bits, n: int, emit) -> None:
             w = low.bit_length() - 1
             extend(w, visited | low, mask | row[w], left - 1, above)
 
-    for start in range(host.order):
-        extend(start, 1 << start, 0, n - 1, -(2 << start))
+    try:
+        for start in range(host.order):
+            extend(start, 1 << start, 0, n - 1, -(2 << start))
+    finally:
+        del extend  # break the self-reference cycle (see above)
 
 
 def _disjoint_copies(items, k: int, emit) -> None:
@@ -182,7 +192,10 @@ def _disjoint_copies(items, k: int, emit) -> None:
             else:
                 pick(idx + 1, used | verts, mask | edges, left - 1)
 
-    pick(0, 0, 0, k)
+    try:
+        pick(0, 0, 0, k)
+    finally:
+        del pick  # break the self-reference cycle (see above)
 
 
 def _book_copies(host: Graph, bits, m: int, emit) -> None:
@@ -210,19 +223,46 @@ def _fan_copies(host: Graph, bits, n: int, emit) -> None:
         _disjoint_copies(blades, n, emit)
 
 
+def _copies_in_complete(n: int, target: TargetKind) -> int | None:
+    """The copy count of a path, clique, star or matching target in K_n, else None.
+
+    The injective maps of the target's p vertices into K_n number
+    perm(n, p), and each copy is the image of |Aut(target)| of them.  Only
+    for a target with an edge: enumerate_copies gives an edgeless target
+    the single copy 0.
+    """
+    if isinstance(target, Path):
+        p, aut = target.n, 2 if target.n > 1 else 1
+    elif isinstance(target, Complete):
+        p, aut = target.n, math.factorial(target.n)
+    elif isinstance(target, Star):
+        p, aut = target.n + 1, 2 if target.n == 1 else math.factorial(target.n)
+    elif isinstance(target, Matching):
+        p, aut = 2 * target.m, math.factorial(target.m) << target.m
+    else:
+        return None
+    return math.perm(n, p) // aut
+
+
 def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CAP) -> list[int]:
     """All distinct host subgraphs isomorphic to the target, as edge bitmasks.
 
     Bit i of a copy is set when host edge i (canonical order) is in it; an
     edgeless target has the single copy 0.  Deterministic: the result is
-    sorted.  Raises CopyCapError past the cap.
+    sorted.  Raises CopyCapError past the cap: on a complete host, for the
+    targets _copies_in_complete counts, before enumerating anything.
     """
     pattern = _pattern(target)
-    if pattern.order > host.order:
+    n = host.order
+    if pattern.order > n:
         return []
     if pattern.edge_count == 0:
         # an edgeless target sits inside every coloring of a large-enough host
         return [0]
+    if host.edge_count == n * (n - 1) // 2:
+        count = _copies_in_complete(n, target)
+        if count is not None and count > cap:
+            raise CopyCapError(f"more than {cap} target copies in the host")
     bits = host.edge_bits
     seen: set[int] = set()
 

@@ -100,6 +100,51 @@ def odd_clique_pair(n: int, i: int) -> Coloring:
 # Exhaustive enumeration of free colorings
 
 
+def _twin_transpositions(host: Graph) -> list[tuple[int, int]]:
+    """The pairs (a, b) of consecutive members of each twin class, a < b.
+
+    Vertices u and v are twins when adj[u] - {v} == adj[v] - {u}: true
+    twins when adjacent, false twins when not.  A vertex cannot have twins
+    of both kinds, so the relation is an equivalence, and swapping two twins
+    maps host edges onto host edges.  The transpositions of consecutive
+    members generate every permutation of a class.
+    """
+    adj = host.adj
+    last: dict[int, int] = {}  # first member of a class -> its latest member so far
+    pairs = []
+    for v in range(host.order):
+        for u in range(v):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                pairs.append((last[u], v))
+                last[u] = v
+                break
+        else:
+            last[v] = v
+    return pairs
+
+
+def _twin_swaps(host: Graph) -> list[tuple[tuple[int, int], ...]]:
+    """Each twin transposition as delta swaps on red edge masks.
+
+    A transposition's edge-index permutation table is a set of disjoint
+    index swaps (i, i + d).  Grouped by d they give pairs (d, low), low the
+    mask of the lower indices, and the image of a mask x is the delta swap
+    t = (x >> d ^ x) & low; x ^= t | t << d over the pairs.
+    """
+    index = host.edge_index
+    swaps = []
+    for a, b in _twin_transpositions(host):
+        sigma = {a: b, b: a}
+        groups: dict[int, int] = {}
+        for i, (x, y) in enumerate(host.edges):
+            x, y = sigma.get(x, x), sigma.get(y, y)
+            d = index[(x, y) if x < y else (y, x)] - i
+            if d > 0:
+                groups[d] = groups.get(d, 0) | 1 << i
+        swaps.append(tuple(groups.items()))
+    return swaps
+
+
 def enumerate_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> list[Coloring]:
     """One representative per color-preserving isomorphism class.
 
@@ -107,11 +152,33 @@ def enumerate_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> 
     yields.  The list is sorted by canonical_coloring_key, so its order
     follows the key's values and can move when the key changes; the set of
     representatives does not.
+
+    Only a coloring outside every known twin orbit gets a key: each keyed
+    coloring's orbit under the swaps of host twins (_twin_swaps) goes into
+    a seen set, and a later coloring in it is skipped without a key.  Host
+    automorphisms preserve freeness, so a skipped coloring's class already
+    has its representative, and the output is the same as with one key per
+    coloring.  On a complete host every vertex is a twin, so each class is
+    one orbit and costs one key.
     """
+    twins = _twin_swaps(host)
     representatives: dict[tuple, Coloring] = {}
+    seen: set[int] = set()
     for coloring in all_free_colorings(host, red, blue):
-        key = canonical_coloring_key(coloring)
-        representatives.setdefault(key, coloring)
+        if coloring.red in seen:
+            continue
+        representatives.setdefault(canonical_coloring_key(coloring), coloring)
+        seen.add(coloring.red)
+        orbit = [coloring.red]
+        for mask in orbit:  # images appended while iterating are visited in turn
+            for swap in twins:
+                image = mask
+                for d, low in swap:
+                    t = (image >> d ^ image) & low
+                    image ^= t | t << d
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
     return [representatives[key] for key in sorted(representatives)]
 
 

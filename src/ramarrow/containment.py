@@ -171,6 +171,9 @@ def _path_through(adj, u: int, v: int, n: int) -> list[tuple[int, int]] | None:
         return None
 
     found = tail(v, 1 << u | 1 << v, n - 2)
+    # tail's closure holds tail itself: unbinding it frees the closure by
+    # reference counting, not the cycle collector later
+    del tail
     return None if found is None else found + [(u, v)]
 
 
@@ -239,7 +242,10 @@ def _embeddings(host: Graph, pattern: Graph, start=(), within: int = 0):
             yield from place(k + 1, used | low)
         assign[u] = -1
 
-    yield from place(0, 0)
+    try:
+        yield from place(0, 0)
+    finally:
+        del place  # break place's self-reference cycle, also when the caller stops early
 
 
 def _subgraph_exists(host: Graph, pattern: Graph) -> bool:

@@ -1,10 +1,11 @@
+import gc
 import json
 import pathlib
 import random
 
 import pytest
 
-from ramarrow import oracles
+from ramarrow import arrowing, oracles
 from ramarrow.arrowing import (
     CopyCapError,
     DeletionFamily,
@@ -17,6 +18,7 @@ from ramarrow.arrowing import (
     enumerate_copies,
     export_dimacs,
     ramsey_number,
+    _copies_in_complete,
     _lanes,
 )
 from ramarrow.coloring import BLUE, RED, Coloring, monochromatic_subgraph
@@ -84,6 +86,55 @@ def test_copy_cap():
     assert len(enumerate_copies(k7, Path(7), cap=2520)) == 2520
     with pytest.raises(CopyCapError, match="more than 2519 target copies"):
         enumerate_copies(k7, Path(7), cap=2519)
+
+
+def test_copy_counts_on_complete_hosts_have_a_closed_form():
+    # every parameter with an edge whose target fits in K_8
+    targets = ([Path(k) for k in range(2, 9)] + [Complete(k) for k in range(2, 9)]
+               + [Star(k) for k in range(1, 8)] + [Matching(k) for k in range(1, 5)])
+    for n in range(1, 9):
+        host = realize(Complete(n))
+        for target in targets:
+            assert _copies_in_complete(n, target) == len(enumerate_copies(host, target)), (n, target)
+    assert _copies_in_complete(8, Book(2)) is None
+
+
+def test_copy_cap_on_complete_hosts_raises_before_enumerating(monkeypatch):
+    def enumerate_anyway(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(arrowing, "_path_copies", enumerate_anyway)
+    with pytest.raises(CopyCapError, match="more than 100000 target copies in the host"):
+        enumerate_copies(realize(Complete(11)), Path(9), cap=100000)
+
+
+def _cyclic_garbage(call) -> list:
+    """The objects that the call leaves for the cycle collector."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_copy_enumeration_leaves_no_cyclic_garbage():
+    def capped(target):
+        def call():
+            # not complete, so the enumerators run until the cap stops them
+            try:
+                enumerate_copies(realize(parse_spec("K7\\P3")), target, cap=3)
+            except CopyCapError:
+                pass
+        return call
+
+    for target in [Path(5), Complete(3), Matching(2), Fan(1), Generic(parse_spec("K3 u K2"))]:
+        assert _cyclic_garbage(capped(target)) == [], target
+    k6 = realize(Complete(6))
+    assert _cyclic_garbage(lambda: arrows(k6, Complete(3), Complete(3))) == []
 
 
 def test_lanes_transpose_the_copies():

@@ -7,6 +7,8 @@ import pytest
 from ramarrow import oracles
 from ramarrow.coloring import BLUE, RED, Coloring, monochromatic_subgraph
 from ramarrow.constructions import (
+    _twin_swaps,
+    _twin_transpositions,
     all_free_colorings,
     block_coloring_witness,
     canonical_coloring_key,
@@ -293,6 +295,60 @@ def test_free_coloring_representatives_are_pinned():
         host, red, blue = (parse_spec(text) for text in question.split())
         reps = enumerate_free_colorings(realize(host), red, blue)
         assert sorted(c.red for c in reps) == masks, question
+
+
+def _one_key_per_coloring(host: Graph, red, blue) -> list[Coloring]:
+    """enumerate_free_colorings without the twin orbits: a key for every coloring."""
+    representatives = {}
+    for coloring in all_free_colorings(host, red, blue):
+        representatives.setdefault(canonical_coloring_key(coloring), coloring)
+    return [representatives[key] for key in sorted(representatives)]
+
+
+# Complete hosts, where the twin swaps generate every automorphism, and hosts
+# where they generate a proper subgroup (K3,3 also swaps its sides) or none.
+ORBIT_QUESTIONS = [
+    "K3 K3 K3", "K4 M2 K3", "K5 K3 K3", "K6 K3 K4", "K6 M3 K3", "K7 S3 K4", "K8 M4 K3",
+    "K7\\P4 M3 K3", "K6\\P3 K3 K3", "K8\\P6 M4 K3", "K7\\K3 M3 K3", "E3+E3 S3 S3",
+    "E2+E2+E2 S3 K3", "E2+E2+E2 K3 K3", "K4 u K3 K3 P3",
+]
+
+
+@pytest.mark.parametrize("question", ORBIT_QUESTIONS)
+def test_twin_orbits_keep_the_representatives_and_their_order(question):
+    host, red, blue = (parse_spec(text) for text in question.rsplit(" ", 2))
+    host = realize(host)
+    reference = _one_key_per_coloring(host, red, blue)
+    assert reference, question  # a question without free colorings would show nothing
+    assert enumerate_free_colorings(host, red, blue) == reference
+
+
+def test_twin_transpositions_are_host_automorphisms():
+    rng = random.Random(41)
+    for _ in range(200):
+        host = oracles.random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.9))
+        edges = set(host.edges)
+        pairs = _twin_transpositions(host)
+        for (a, b), swap in zip(pairs, _twin_swaps(host)):
+            sigma = {a: b, b: a}
+            images = {tuple(sorted((sigma.get(x, x), sigma.get(y, y)))) for x, y in edges}
+            assert images == edges, (host, a, b)
+            for i, (x, y) in enumerate(host.edges):
+                image = 1 << i
+                for d, low in swap:
+                    t = (image >> d ^ image) & low
+                    image ^= t | t << d
+                x, y = sorted((sigma.get(x, x), sigma.get(y, y)))
+                assert image == 1 << host.edge_index[(x, y)], (host, a, b, i)
+        # the pairs join exactly the twins
+        adj = host.adj
+        cls = list(range(host.order))
+        for a, b in pairs:
+            cls[b] = cls[a]
+        for u in range(host.order):
+            for v in range(u + 1, host.order):
+                twins = adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
+                assert (cls[u] == cls[v]) == twins, (host, u, v)
 
 
 # (K3,K4)-free colorings of K_n: labeled colorings and classes.  The classes
