@@ -36,6 +36,7 @@ from .containment import (
     TargetKind,
     _embeddings,
     _pattern,
+    _symmetry_breaking,
     contains_target,
     copy_through,
     target_label,
@@ -113,8 +114,16 @@ class DeletionFamily(Enum):
 # A copy is an int edge mask: bit i is set when host edge i (canonical
 # order) is in the copy.  bits[u][v] (Graph.edge_bits) is the mask of edge
 # uv, 0 for a non-edge, so each enumerator ORs a copy together as its DFS
-# goes.  A recursive enumerator is a closure that calls itself, which puts
-# it in a reference cycle with what it holds: emit and the copy set.  Each
+# goes.  Each enumerator emits each copy once, so there is no dedup set:
+# a clique in increasing vertex order, a path from its lower end, a star
+# from its one hub, a matching or fan's disjoint parts in increasing index
+# order, a book from its one spine, and a generic target's core through
+# the one embedding per copy that its symmetry-breaking conditions allow
+# (containment._symmetry_breaking).  A target whose graph is complete goes
+# to the clique enumerator, whatever its kind: the K2 of Star(1) and the K3
+# of Book(1) and Fan(1) have two or three hubs or spines to be emitted from.
+# A recursive enumerator is a closure that calls itself, which puts it in
+# a reference cycle with what it holds: emit and the copy list.  Each
 # unbinds itself in a finally block, so reference counting frees that state
 # as the call returns or raises CopyCapError, not the cycle collector later.
 
@@ -253,10 +262,10 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
     targets _copies_in_complete counts, before enumerating anything.
     """
     pattern = _pattern(target)
-    n = host.order
-    if pattern.order > n:
+    n, p, k = host.order, pattern.order, pattern.edge_count
+    if p > n:
         return []
-    if pattern.edge_count == 0:
+    if k == 0:
         # an edgeless target sits inside every coloring of a large-enough host
         return [0]
     if host.edge_count == n * (n - 1) // 2:
@@ -264,15 +273,15 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
         if count is not None and count > cap:
             raise CopyCapError(f"more than {cap} target copies in the host")
     bits = host.edge_bits
-    seen: set[int] = set()
+    copies: list[int] = []
 
     def emit(mask: int) -> None:
-        seen.add(mask)
-        if len(seen) > cap:
+        copies.append(mask)
+        if len(copies) > cap:
             raise CopyCapError(f"more than {cap} target copies in the host")
 
-    if isinstance(target, Complete):
-        _clique_copies(host, bits, target.n, emit)
+    if k == p * (p - 1) // 2:
+        _clique_copies(host, bits, p, emit)
     elif isinstance(target, Star):
         _star_copies(bits, target.n, emit)
     elif isinstance(target, Path):
@@ -285,13 +294,15 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
     elif isinstance(target, Fan):
         _fan_copies(host, bits, target.n, emit)
     else:
-        pedges = pattern.edges
-        for emb in _embeddings(host, pattern):
+        core, below = _symmetry_breaking(pattern)
+        pedges = core.edges
+        for emb in _embeddings(host, core, below=below):
             mask = 0
             for a, b in pedges:
                 mask |= bits[emb[a]][emb[b]]
             emit(mask)
-    return sorted(seen)
+    copies.sort()
+    return copies
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +355,13 @@ def _lanes(copies: list[int], k: int, m: int) -> list[int]:
 
 
 def _branch_order(host: Graph, deterministic: bool) -> list[int]:
-    m = host.edge_count
+    edges = host.edges
     if deterministic:
-        return list(range(m))
-    degs = [host.degree(v) for v in range(host.order)]
-    return sorted(range(m), key=lambda i: (-(degs[host.edges[i][0]] + degs[host.edges[i][1]]), i))
+        return list(range(len(edges)))
+    degs = [row.bit_count() for row in host.adj]
+    # highest degree sum first; the sort is stable, so ties stay in canonical order
+    key = [-(degs[u] + degs[v]) for u, v in edges]
+    return sorted(range(len(edges)), key=key.__getitem__)
 
 
 def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
@@ -387,8 +400,8 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
     stats gets nodes (current at each yield), propagation_mode and
     budget_exhausted; the search stops once nodes passes the budget.
     """
-    n, m = host.order, host.edge_count
-    edges = host.edges
+    n, edges = host.order, host.edges
+    m = len(edges)
     bit = [1 << e for e in range(m)]
     targets = (red, blue)
     try:
@@ -399,10 +412,11 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
     sizes = []
     for t in targets:
         p = _pattern(t)
+        k = p.edge_count
         # an edgeless target that fits is in every color class, so no coloring is free
-        if not p.edge_count and p.order <= n:
+        if not k and p.order <= n:
             return
-        sizes.append(p.edge_count)
+        sizes.append(k)
     learning = copies is None
     if learning:
         copies = [[], []]

@@ -5,7 +5,10 @@ graph contain a copy of the target", never induced containment.  The leaf
 families the searches actually use (Complete, Star, Path, Matching, Book,
 Fan) have specialized detectors; every other expression, and any target
 wrapped in Generic, falls back to backtracking subgraph isomorphism with
-degree pruning.
+degree pruning.  The same backtracker lists a generic target's copies for
+arrowing.enumerate_copies, each copy once and with no dedup set: the
+pattern's symmetry-breaking conditions (_symmetry_breaking) let through
+one of the embeddings that make each copy.
 
 copy_through answers the rooted question "is there a copy that uses edge
 uv" with the edges of one such copy: the witness of a detected family's
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import graphs
 from .graphs import Book, Complete, Fan, Graph, GraphSpec, Matching, Path, Star, realize
@@ -181,8 +184,13 @@ def _path_through(adj, u: int, v: int, n: int) -> list[tuple[int, int]] | None:
 # Generic backtracking subgraph isomorphism
 
 
-def _pattern_order(pattern: Graph, start=()) -> list[int]:
-    """Visit `start`, then high-degree vertices, preferring neighbors of placed ones."""
+@lru_cache(maxsize=1024)
+def _plan(pattern: Graph, start: tuple[int, ...] = ()):
+    """The placement order, and the neighbors of each order[k] placed before it.
+
+    The order visits `start`, then high-degree vertices, preferring
+    neighbors of placed ones.
+    """
     padj = pattern.adj
     placed = list(start)
     placed_mask = sum(1 << v for v in placed)
@@ -198,29 +206,33 @@ def _pattern_order(pattern: Graph, start=()) -> list[int]:
         placed.append(v)
         placed_mask |= 1 << v
         remaining.remove(v)
-    return placed
+    order = tuple(placed)
+    return order, tuple(tuple(w for w in order[:k] if padj[u] >> w & 1)
+                        for k, u in enumerate(order))
 
 
-def _embeddings(host: Graph, pattern: Graph, start=(), within: int = 0):
-    """Yield every injective edge-preserving map pattern -> host.
+def _embeddings(host: Graph, pattern: Graph, pins=(), below=None):
+    """Yield injective edge-preserving maps pattern -> host.
 
     Maps are tuples indexed by pattern vertex.  Candidate filtering uses
-    host adjacency bitsets of the already-placed pattern neighbors.  The
-    pattern vertices in `start` are placed first, each inside the host
-    vertex mask `within`.
+    host adjacency bitsets of the already-placed pattern neighbors.  pins
+    holds (pattern vertex, host vertex mask) pairs: those vertices are
+    placed first, each inside its mask.  below, for a search without pins,
+    holds the symmetry-breaking conditions of _symmetry_breaking, applied
+    as candidate masks: the image of order[k] lies above the image of each
+    vertex in below[k].
     """
     p = pattern.order
     if p > host.order:
         return
-    padj = pattern.adj
-    order = _pattern_order(pattern, start)
-    # earlier[k]: the pattern neighbors of order[k] placed before it
-    earlier = [[w for w in order[:k] if padj[u] >> w & 1] for k, u in enumerate(order)]
+    order, earlier = _plan(pattern, tuple(a for a, _ in pins))
+    if below is None:
+        below = [()] * p
     hadj = host.adj
     hdeg = [row.bit_count() for row in hadj]
-    pdeg = [row.bit_count() for row in padj]
+    pdeg = [row.bit_count() for row in pattern.adj]
     full = (1 << host.order) - 1
-    allowed = [within] * len(start) + [full] * (p - len(start))
+    allowed = [mask for _, mask in pins] + [full] * (p - len(pins))
     assign = [-1] * p
 
     def place(k: int, used: int):
@@ -231,6 +243,8 @@ def _embeddings(host: Graph, pattern: Graph, start=(), within: int = 0):
         cand = allowed[k] & ~used
         for w in earlier[k]:
             cand &= hadj[assign[w]]
+        for w in below[k]:
+            cand &= -(2 << assign[w])
         need = pdeg[u]
         while cand:
             low = cand & -cand
@@ -250,6 +264,39 @@ def _embeddings(host: Graph, pattern: Graph, start=(), within: int = 0):
 
 def _subgraph_exists(host: Graph, pattern: Graph) -> bool:
     return next(_embeddings(host, pattern), None) is not None
+
+
+@lru_cache(maxsize=256)
+def _symmetry_breaking(pattern: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """The pattern without isolated vertices (its core), and the core's symmetry-breaking conditions.
+
+    The embeddings of the core that make one copy differ by an automorphism
+    of the core, and the conditions (Grochow & Kellis, RECOMB 2007) let
+    exactly one of them through: below[k] lists the vertices a placed
+    before order[k], in the core's unpinned placement order, with
+    emb[a] < emb[order[k]].  Walking that order, vertex v gets a condition
+    against each other vertex of its orbit under the automorphisms that fix
+    the vertices before it, until only the identity fixes them.  An orbit
+    costs one automorphism query (a pinned embedding of the core into
+    itself) per candidate image, so Aut (12! elements for K1+E12) is never
+    listed.  Isolated vertices carry no edge; the caller checks that the
+    host has room for them.
+    """
+    core = pattern.induced([v for v in range(pattern.order) if pattern.adj[v]])
+    order, _ = _plan(core)
+    pos = {v: k for k, v in enumerate(order)}
+    below = [[] for _ in order]
+    degree = [row.bit_count() for row in core.adj]
+    fixed = ()
+    for v in order:
+        if next(islice(_embeddings(core, core, fixed), 1, None), None) is None:
+            break  # only the identity fixes the vertices before v
+        for w in order[pos[v] + 1:]:
+            if degree[w] == degree[v] and next(
+                    _embeddings(core, core, fixed + ((v, 1 << w),)), None) is not None:
+                below[pos[w]].append(v)
+        fixed += ((v, 1 << v),)
+    return core, tuple(map(tuple, below))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +375,6 @@ def copy_through(g: Graph, target: TargetKind, u: int, v: int) -> list[tuple[int
     ends = 1 << u | 1 << v
     for a, b in pattern.edges:
         if min(pdeg[a], pdeg[b]) <= fewer and max(pdeg[a], pdeg[b]) <= more:
-            for emb in _embeddings(g, pattern, (a, b), ends):
+            for emb in _embeddings(g, pattern, ((a, ends), (b, ends))):
                 return [(emb[x], emb[y]) for x, y in pattern.edges]
     return None

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ramarrow import arrowing, oracles
+from ramarrow import arrowing, containment, oracles
 from ramarrow.arrowing import (
     CopyCapError,
     DeletionFamily,
@@ -22,7 +22,7 @@ from ramarrow.arrowing import (
     _lanes,
 )
 from ramarrow.coloring import BLUE, RED, Coloring, monochromatic_subgraph
-from ramarrow.containment import Generic, contains_target, target_to_spec
+from ramarrow.containment import Generic, contains_target, target_from_spec, target_to_spec
 from ramarrow.graphs import (
     Book,
     Complete,
@@ -67,6 +67,28 @@ def test_specialized_enumerators_against_brute_force():
         for target in targets:
             brute = oracles.brute_copy_masks(host, realize(target_to_spec(target)))
             assert enumerate_copies(host, target) == brute, (host, target)
+
+
+@pytest.mark.parametrize("spec", [
+    "K3 u K3", "E2+E2", "K2+E3", "K1+P4", "P3 u P3 u K2", "K3 u E2",
+])
+def test_high_symmetry_generic_copies_against_brute_force(spec):
+    # no dedup set hides a duplicate: each copy must come from exactly one embedding
+    target = Generic(parse_spec(spec))
+    pattern = realize(target.spec)
+    rng = random.Random(37)
+    for _ in range(20):
+        # from one vertex too few for the pattern up to 7 vertices, or to its order
+        order = rng.randint(pattern.order - 1, max(pattern.order, 7))
+        host = oracles.random_graph(rng, order, rng.uniform(0.4, 0.95))
+        brute = oracles.brute_copy_masks(host, pattern)
+        assert enumerate_copies(host, target) == brute, (host, spec)
+
+
+def test_generic_star_with_many_leaves_enumerates_each_copy_once():
+    # |Aut(K1+E12)| = 12!, so listing every embedding would take hours
+    copies = enumerate_copies(realize(Complete(14)), target_from_spec(parse_spec("K1+E12")))
+    assert len(copies) == 14 * 13 == len(set(copies))
 
 
 def test_copy_counts_closed_forms():
@@ -133,6 +155,13 @@ def test_copy_enumeration_leaves_no_cyclic_garbage():
 
     for target in [Path(5), Complete(3), Matching(2), Fan(1), Generic(parse_spec("K3 u K2"))]:
         assert _cyclic_garbage(capped(target)) == [], target
+
+    def conditions_then_capped():
+        # the symmetry-breaking conditions' automorphism queries run inside the call
+        containment._symmetry_breaking.cache_clear()
+        capped(Generic(parse_spec("K3 u E2")))()
+
+    assert _cyclic_garbage(conditions_then_capped) == []
     k6 = realize(Complete(6))
     assert _cyclic_garbage(lambda: arrows(k6, Complete(3), Complete(3))) == []
 

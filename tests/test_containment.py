@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 from ramarrow import containment, oracles
 from ramarrow.arrowing import arrows
@@ -160,3 +161,27 @@ def test_target_spec_round_trip():
     assert target_from_spec(Star(3)) == Star(3)
     assert target_from_spec(Fan(2)) == Fan(2)
     assert target_from_spec(Matching(4)) == Matching(4)
+
+
+def test_symmetry_breaking_keeps_one_embedding_per_copy():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 150:
+        pattern = oracles.random_graph(rng, rng.randint(2, 6), rng.uniform(0.2, 0.9))
+        if not pattern.edge_count:
+            continue
+        checked += 1
+        core, below = containment._symmetry_breaking(pattern)
+        assert all(core.adj) and core.edge_count == pattern.edge_count
+        assert len(list(containment._embeddings(core, core, below=below))) == 1, pattern
+        # each vertex's conditions name its orbit under the automorphisms that fix
+        # the vertices before it, here from a full listing of Aut
+        edges = set(core.edges)
+        aut = [image for image in permutations(range(core.order))
+               if all((min(image[a], image[b]), max(image[a], image[b])) in edges
+                      for a, b in edges)]
+        order, _ = containment._plan(core)
+        for k, v in enumerate(order):
+            stabilizer = [image for image in aut if all(image[u] == u for u in order[:k])]
+            orbit = {image[v] for image in stabilizer}
+            assert orbit == {v} | {w for j, w in enumerate(order) if v in below[j]}, (pattern, k)
