@@ -34,6 +34,7 @@ from . import formulas
 from .coloring import BLUE, RED, Coloring, monochromatic_subgraph
 from .containment import (
     TargetKind,
+    _core_automorphisms,
     _embeddings,
     _pattern,
     _symmetry_breaking,
@@ -122,10 +123,8 @@ class DeletionFamily(Enum):
 # (containment._symmetry_breaking).  A target whose graph is complete goes
 # to the clique enumerator, whatever its kind: the K2 of Star(1) and the K3
 # of Book(1) and Fan(1) have two or three hubs or spines to be emitted from.
-# A recursive enumerator is a closure that calls itself, which puts it in
-# a reference cycle with what it holds: emit and the copy list.  Each
-# unbinds itself in a finally block, so reference counting frees that state
-# as the call returns or raises CopyCapError, not the cycle collector later.
+# On a complete host the copies of every target are counted before any is
+# built (_copies_in_complete), so a count past the cap raises at once.
 
 
 def _star_copies(bits, n: int, emit) -> None:
@@ -136,75 +135,52 @@ def _star_copies(bits, n: int, emit) -> None:
                 emit(sum(chosen))
 
 
-def _clique_copies(host: Graph, bits, m: int, emit) -> None:
-    adj = host.adj
-
-    def grow(chosen: list[int], mask: int, cand: int) -> None:
-        last = len(chosen) + 1 == m
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            row = bits[v]
-            grown = mask
-            for u in chosen:
-                grown |= row[u]
-            if last:
-                emit(grown)
-            else:
-                grow(chosen + [v], grown, adj[v] & cand)
-
-    try:
-        grow([], 0, (1 << host.order) - 1)
-    finally:
-        del grow  # break the self-reference cycle (see above)
-
-
-def _path_copies(host: Graph, bits, n: int, emit) -> None:
-    adj = host.adj
-
-    def extend(v: int, visited: int, mask: int, left: int, above: int) -> None:
+def _clique_copies(adj, bits, m: int, emit, chosen: list[int], mask: int, cand: int) -> None:
+    """Emit every clique on m vertices that adds vertices of cand to chosen, in increasing order."""
+    last = len(chosen) + 1 == m
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
         row = bits[v]
-        ext = adj[v] & ~visited
-        if left == 1:
-            # a path is emitted from its lower end only
-            ext &= above
-            while ext:
-                low = ext & -ext
-                ext ^= low
-                emit(mask | row[low.bit_length() - 1])
-            return
+        grown = mask
+        for u in chosen:
+            grown |= row[u]
+        if last:
+            emit(grown)
+        else:
+            _clique_copies(adj, bits, m, emit, chosen + [v], grown, adj[v] & cand)
+
+
+def _path_copies_from(adj, bits, emit, v: int, visited: int, mask: int, left: int,
+                      above: int) -> None:
+    """Emit every path that goes on from v through `left` more vertices and ends in above."""
+    row = bits[v]
+    ext = adj[v] & ~visited
+    if left == 1:
+        ext &= above
         while ext:
             low = ext & -ext
             ext ^= low
-            w = low.bit_length() - 1
-            extend(w, visited | low, mask | row[w], left - 1, above)
+            emit(mask | row[low.bit_length() - 1])
+        return
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        w = low.bit_length() - 1
+        _path_copies_from(adj, bits, emit, w, visited | low, mask | row[w], left - 1, above)
 
-    try:
-        for start in range(host.order):
-            extend(start, 1 << start, 0, n - 1, -(2 << start))
-    finally:
-        del extend  # break the self-reference cycle (see above)
 
-
-def _disjoint_copies(items, k: int, emit) -> None:
+def _disjoint_copies(items, k: int, emit, start: int = 0, used: int = 0, mask: int = 0) -> None:
     """Emit the edge-mask union of every k (vertex mask, edge mask) items with disjoint vertices."""
-    count = len(items)
-
-    def pick(start: int, used: int, mask: int, left: int) -> None:
-        for idx in range(start, count):
-            verts, edges = items[idx]
-            if used & verts:
-                continue
-            if left == 1:
-                emit(mask | edges)
-            else:
-                pick(idx + 1, used | verts, mask | edges, left - 1)
-
-    try:
-        pick(0, 0, 0, k)
-    finally:
-        del pick  # break the self-reference cycle (see above)
+    for idx in range(start, len(items)):
+        verts, edges = items[idx]
+        if used & verts:
+            continue
+        if k == 1:
+            emit(mask | edges)
+        else:
+            _disjoint_copies(items, k - 1, emit, idx + 1, used | verts, mask | edges)
 
 
 def _book_copies(host: Graph, bits, m: int, emit) -> None:
@@ -232,25 +208,16 @@ def _fan_copies(host: Graph, bits, n: int, emit) -> None:
         _disjoint_copies(blades, n, emit)
 
 
-def _copies_in_complete(n: int, target: TargetKind) -> int | None:
-    """The copy count of a path, clique, star or matching target in K_n, else None.
+def _copies_in_complete(n: int, target: TargetKind) -> int:
+    """The copy count in K_n of a target with an edge and at most n vertices.
 
-    The injective maps of the target's p vertices into K_n number
-    perm(n, p), and each copy is the image of |Aut(target)| of them.  Only
-    for a target with an edge: enumerate_copies gives an edgeless target
-    the single copy 0.
+    A copy is an edge set, the image of the target's core (the target
+    without its isolated vertices) on q vertices.  The injective maps of
+    the core into K_n number perm(n, q), and each copy is the image of
+    |Aut(core)| of them.
     """
-    if isinstance(target, Path):
-        p, aut = target.n, 2 if target.n > 1 else 1
-    elif isinstance(target, Complete):
-        p, aut = target.n, math.factorial(target.n)
-    elif isinstance(target, Star):
-        p, aut = target.n + 1, 2 if target.n == 1 else math.factorial(target.n)
-    elif isinstance(target, Matching):
-        p, aut = 2 * target.m, math.factorial(target.m) << target.m
-    else:
-        return None
-    return math.perm(n, p) // aut
+    q, aut = _core_automorphisms(_pattern(target))
+    return math.perm(n, q) // aut
 
 
 def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CAP) -> list[int]:
@@ -258,8 +225,9 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
 
     Bit i of a copy is set when host edge i (canonical order) is in it; an
     edgeless target has the single copy 0.  Deterministic: the result is
-    sorted.  Raises CopyCapError past the cap: on a complete host, for the
-    targets _copies_in_complete counts, before enumerating anything.
+    sorted.  Raises CopyCapError past the cap.  On a complete host every
+    target's copies are counted first, so there it raises before
+    enumerating anything.
     """
     pattern = _pattern(target)
     n, p, k = host.order, pattern.order, pattern.edge_count
@@ -268,11 +236,9 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
     if k == 0:
         # an edgeless target sits inside every coloring of a large-enough host
         return [0]
-    if host.edge_count == n * (n - 1) // 2:
-        count = _copies_in_complete(n, target)
-        if count is not None and count > cap:
-            raise CopyCapError(f"more than {cap} target copies in the host")
-    bits = host.edge_bits
+    if host.edge_count == n * (n - 1) // 2 and _copies_in_complete(n, target) > cap:
+        raise CopyCapError(f"more than {cap} target copies in the host")
+    adj, bits = host.adj, host.edge_bits
     copies: list[int] = []
 
     def emit(mask: int) -> None:
@@ -281,11 +247,13 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
             raise CopyCapError(f"more than {cap} target copies in the host")
 
     if k == p * (p - 1) // 2:
-        _clique_copies(host, bits, p, emit)
+        _clique_copies(adj, bits, p, emit, [], 0, (1 << n) - 1)
     elif isinstance(target, Star):
         _star_copies(bits, target.n, emit)
     elif isinstance(target, Path):
-        _path_copies(host, bits, target.n, emit)
+        # a path is emitted from its lower end only
+        for start in range(n):
+            _path_copies_from(adj, bits, emit, start, 1 << start, 0, target.n - 1, -(2 << start))
     elif isinstance(target, Matching):
         _disjoint_copies([(1 << u | 1 << v, 1 << i) for i, (u, v) in enumerate(host.edges)],
                          target.m, emit)

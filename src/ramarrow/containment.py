@@ -20,6 +20,8 @@ through its new edge.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
@@ -155,28 +157,28 @@ def _has_path(g: Graph, n: int) -> bool:
     return any(_extend_path(adj, start, 1 << start, n - 1) is not None for start in range(g.order))
 
 
+def _path_tail(adj, u: int, end: int, visited: int, left: int) -> list[tuple[int, int]] | None:
+    """The edges that grow the path from u to end by `left` unvisited vertices, or None.
+
+    The path grows a tail from end first, then a head from u.
+    """
+    found = _extend_path(adj, u, visited, left)
+    if found is not None:
+        return found
+    ext = adj[end] & ~visited
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        found = _path_tail(adj, u, low.bit_length() - 1, visited | low, left - 1)
+        if found is not None:
+            found.append((end, low.bit_length() - 1))
+            return found
+    return None
+
+
 def _path_through(adj, u: int, v: int, n: int) -> list[tuple[int, int]] | None:
     """The edges of a path on n >= 2 vertices using edge uv: a tail from v, then a head from u."""
-
-    def tail(end: int, visited: int, left: int) -> list[tuple[int, int]] | None:
-        # the tail so far ends at `end`; the other `left` vertices go on either side
-        found = _extend_path(adj, u, visited, left)
-        if found is not None:
-            return found
-        ext = adj[end] & ~visited
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            found = tail(low.bit_length() - 1, visited | low, left - 1)
-            if found is not None:
-                found.append((end, low.bit_length() - 1))
-                return found
-        return None
-
-    found = tail(v, 1 << u | 1 << v, n - 2)
-    # tail's closure holds tail itself: unbinding it frees the closure by
-    # reference counting, not the cycle collector later
-    del tail
+    found = _path_tail(adj, u, v, 1 << u | 1 << v, n - 2)
     return None if found is None else found + [(u, v)]
 
 
@@ -263,6 +265,13 @@ def _embeddings(host: Graph, pattern: Graph, pins=(), below=None):
 
 
 def _subgraph_exists(host: Graph, pattern: Graph) -> bool:
+    """True iff the host has an embedding of the pattern.
+
+    It runs without the symmetry-breaking conditions on purpose: check_free
+    re-checks a counterexample's color classes for generic targets through
+    this search, so the re-check must not rest on the conditions that the
+    copy enumerator uses.
+    """
     return next(_embeddings(host, pattern), None) is not None
 
 
@@ -297,6 +306,18 @@ def _symmetry_breaking(pattern: Graph) -> tuple[Graph, tuple[tuple[int, ...], ..
                 below[pos[w]].append(v)
         fixed += ((v, 1 << v),)
     return core, tuple(map(tuple, below))
+
+
+def _core_automorphisms(pattern: Graph) -> tuple[int, int]:
+    """The vertex count of the pattern's core and the order of the core's automorphism group.
+
+    By orbit-stabilizer, |Aut| is the product of the orbit sizes along
+    _symmetry_breaking's walk, and the orbit of each vertex there is the
+    vertex itself and the vertices its conditions put above it.
+    """
+    core, below = _symmetry_breaking(pattern)
+    named = Counter(a for conds in below for a in conds)
+    return core.order, math.prod(1 + count for count in named.values())
 
 
 # ---------------------------------------------------------------------------

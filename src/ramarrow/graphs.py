@@ -594,6 +594,9 @@ def longest_path_order(g: Graph) -> int:
 
     Subset dynamic program: dp[mask] holds the possible endpoints of simple
     paths visiting exactly the vertices in mask.  Capped at 20 vertices.
+    It shares no code with containment's path searches on purpose: the
+    longest path of a counterexample's color class, checked with this DP,
+    is then a check independent of the path detector the search used.
     """
     n = g.order
     if n > 20:

@@ -111,23 +111,33 @@ def test_copy_cap():
 
 
 def test_copy_counts_on_complete_hosts_have_a_closed_form():
-    # every parameter with an edge whose target fits in K_8
+    # every parameter with an edge whose target fits in K_8, and generic
+    # targets with and without isolated vertices
     targets = ([Path(k) for k in range(2, 9)] + [Complete(k) for k in range(2, 9)]
-               + [Star(k) for k in range(1, 8)] + [Matching(k) for k in range(1, 5)])
+               + [Star(k) for k in range(1, 8)] + [Matching(k) for k in range(1, 5)]
+               + [Book(k) for k in range(1, 5)] + [Fan(k) for k in range(1, 4)]
+               + [Generic(parse_spec(spec)) for spec in [
+                   "K3 u K2", "K4\\P4", "K1+P4", "P3 u P3 u K2", "K2+E3",
+                   "K3 u E2", "K1+E5", "E2+E2 u E1"]])
     for n in range(1, 9):
         host = realize(Complete(n))
         for target in targets:
-            assert _copies_in_complete(n, target) == len(enumerate_copies(host, target)), (n, target)
-    assert _copies_in_complete(8, Book(2)) is None
+            if realize(target_to_spec(target)).order <= n:
+                assert _copies_in_complete(n, target) == len(enumerate_copies(host, target)), (
+                    n, target)
 
 
 def test_copy_cap_on_complete_hosts_raises_before_enumerating(monkeypatch):
-    def enumerate_anyway(*args):
+    def enumerate_anyway(*args, **kwargs):
         raise AssertionError("enumerated past the cap")
 
-    monkeypatch.setattr(arrowing, "_path_copies", enumerate_anyway)
-    with pytest.raises(CopyCapError, match="more than 100000 target copies in the host"):
-        enumerate_copies(realize(Complete(11)), Path(9), cap=100000)
+    for enumerator in ["_path_copies_from", "_fan_copies", "_book_copies", "_embeddings"]:
+        monkeypatch.setattr(arrowing, enumerator, enumerate_anyway)
+    k11 = realize(Complete(11))
+    for target, cap in [(Path(9), 100000), (Fan(3), 1000), (Book(2), 1000),
+                        (Generic(parse_spec("K3 u K2")), 1000)]:
+        with pytest.raises(CopyCapError, match=f"more than {cap} target copies in the host"):
+            enumerate_copies(k11, target, cap=cap)
 
 
 def _cyclic_garbage(call) -> list:
@@ -164,6 +174,8 @@ def test_copy_enumeration_leaves_no_cyclic_garbage():
     assert _cyclic_garbage(conditions_then_capped) == []
     k6 = realize(Complete(6))
     assert _cyclic_garbage(lambda: arrows(k6, Complete(3), Complete(3))) == []
+    # past the cap the search learns path copies through containment's path tail
+    assert _cyclic_garbage(lambda: arrows(realize(Complete(7)), Path(5), Path(5), copy_cap=0)) == []
 
 
 def test_lanes_transpose_the_copies():
