@@ -34,7 +34,6 @@ from . import formulas
 from .coloring import BLUE, RED, Coloring, monochromatic_subgraph
 from .containment import (
     TargetKind,
-    _core_automorphisms,
     _embeddings,
     _pattern,
     _symmetry_breaking,
@@ -119,12 +118,13 @@ class DeletionFamily(Enum):
 # a clique in increasing vertex order, a path from its lower end, a star
 # from its one hub, a matching or fan's disjoint parts in increasing index
 # order, a book from its one spine, and a generic target's core through
-# the one embedding per copy that its symmetry-breaking conditions allow
-# (containment._symmetry_breaking).  A target whose graph is complete goes
-# to the clique enumerator, whatever its kind: the K2 of Star(1) and the K3
-# of Book(1) and Fan(1) have two or three hubs or spines to be emitted from.
-# On a complete host the copies of every target are counted before any is
-# built (_copies_in_complete), so a count past the cap raises at once.
+# the one embedding per copy that its symmetry-breaking bounds, one lower
+# bound per vertex, allow (containment._symmetry_breaking).  A target whose
+# graph is complete goes to the clique enumerator, whatever its kind: the
+# K2 of Star(1) and the K3 of Book(1) and Fan(1) have two or three hubs or
+# spines to be emitted from.  On a complete host the copies of every
+# target are counted from |Aut| of its core, read off the same walk, before
+# any is built (_copies_in_complete), so a count past the cap raises at once.
 
 
 def _star_copies(bits, n: int, emit) -> None:
@@ -214,10 +214,11 @@ def _copies_in_complete(n: int, target: TargetKind) -> int:
     A copy is an edge set, the image of the target's core (the target
     without its isolated vertices) on q vertices.  The injective maps of
     the core into K_n number perm(n, q), and each copy is the image of
-    |Aut(core)| of them.
+    |Aut(core)| of them, the product of the orbit sizes along the
+    symmetry-breaking walk.
     """
-    q, aut = _core_automorphisms(_pattern(target))
-    return math.perm(n, q) // aut
+    core, _, aut = _symmetry_breaking(_pattern(target))
+    return math.perm(n, core.order) // aut
 
 
 def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CAP) -> list[int]:
@@ -262,9 +263,9 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
     elif isinstance(target, Fan):
         _fan_copies(host, bits, target.n, emit)
     else:
-        core, below = _symmetry_breaking(pattern)
+        core, lower, _ = _symmetry_breaking(pattern)
         pedges = core.edges
-        for emb in _embeddings(host, core, below=below):
+        for emb in _embeddings(host, core, lower=lower):
             mask = 0
             for a, b in pedges:
                 mask |= bits[emb[a]][emb[b]]

@@ -5,10 +5,12 @@ graph contain a copy of the target", never induced containment.  The leaf
 families the searches actually use (Complete, Star, Path, Matching, Book,
 Fan) have specialized detectors; every other expression, and any target
 wrapped in Generic, falls back to backtracking subgraph isomorphism with
-degree pruning.  The same backtracker lists a generic target's copies for
-arrowing.enumerate_copies, each copy once and with no dedup set: the
-pattern's symmetry-breaking conditions (_symmetry_breaking) let through
-one of the embeddings that make each copy.
+degree pruning, one explicit-stack loop over the pattern's vertices.  The
+same loop lists a generic target's copies for arrowing.enumerate_copies,
+each copy once and with no dedup set: _symmetry_breaking gives each
+pattern vertex at most one lower bound, and those let through one of the
+embeddings that make each copy.  The walk that finds the bounds also
+reads off |Aut|, which counts a target's copies in a complete host.
 
 copy_through answers the rooted question "is there a copy that uses edge
 uv" with the edges of one such copy: the witness of a detected family's
@@ -20,8 +22,6 @@ through its new edge.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
@@ -213,55 +213,56 @@ def _plan(pattern: Graph, start: tuple[int, ...] = ()):
                         for k, u in enumerate(order))
 
 
-def _embeddings(host: Graph, pattern: Graph, pins=(), below=None):
+def _embeddings(host: Graph, pattern: Graph, pins=(), lower=None):
     """Yield injective edge-preserving maps pattern -> host.
 
-    Maps are tuples indexed by pattern vertex.  Candidate filtering uses
-    host adjacency bitsets of the already-placed pattern neighbors.  pins
-    holds (pattern vertex, host vertex mask) pairs: those vertices are
-    placed first, each inside its mask.  below, for a search without pins,
-    holds the symmetry-breaking conditions of _symmetry_breaking, applied
-    as candidate masks: the image of order[k] lies above the image of each
-    vertex in below[k].
+    Maps are tuples indexed by pattern vertex.  One loop walks the
+    placement order and backtracks by index: cands[k] holds the host
+    vertices left to try for order[k], those of high enough degree that
+    are adjacent to the images of its placed pattern neighbors.  pins holds
+    (pattern vertex, host vertex mask) pairs: those vertices are placed
+    first, each inside its mask.  lower, for a search without pins, holds
+    _symmetry_breaking's bounds: order[k] lands above lower[k] unless -1.
     """
     p = pattern.order
     if p > host.order:
         return
     order, earlier = _plan(pattern, tuple(a for a, _ in pins))
-    if below is None:
-        below = [()] * p
+    if lower is None:
+        lower = (-1,) * p
     hadj = host.adj
-    hdeg = [row.bit_count() for row in hadj]
-    pdeg = [row.bit_count() for row in pattern.adj]
-    full = (1 << host.order) - 1
-    allowed = [mask for _, mask in pins] + [full] * (p - len(pins))
+    roomy = [0] * host.order  # roomy[d]: the host vertices of degree d or more
+    for v, row in enumerate(hadj):
+        roomy[row.bit_count()] |= 1 << v
+    for d in range(host.order - 2, -1, -1):
+        roomy[d] |= roomy[d + 1]
+    masks = [mask for _, mask in pins] + [-1] * (p - len(pins))
+    allowed = [mask & roomy[pattern.adj[u].bit_count()] for mask, u in zip(masks, order)]
     assign = [-1] * p
-
-    def place(k: int, used: int):
-        if k == p:
+    cands = allowed[:]
+    k, used = 0, 0
+    while True:
+        cand = cands[k]
+        if not cand:
+            if not k:
+                return
+            k -= 1
+            used ^= 1 << assign[order[k]]
+            continue
+        low = cand & -cand
+        cands[k] = cand ^ low
+        assign[order[k]] = low.bit_length() - 1
+        if k + 1 == p:
             yield tuple(assign)
-            return
-        u = order[k]
+            continue
+        used |= low
+        k += 1
         cand = allowed[k] & ~used
         for w in earlier[k]:
             cand &= hadj[assign[w]]
-        for w in below[k]:
-            cand &= -(2 << assign[w])
-        need = pdeg[u]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            if hdeg[v] < need:
-                continue
-            assign[u] = v
-            yield from place(k + 1, used | low)
-        assign[u] = -1
-
-    try:
-        yield from place(0, 0)
-    finally:
-        del place  # break place's self-reference cycle, also when the caller stops early
+        if lower[k] >= 0:
+            cand &= -(2 << assign[lower[k]])
+        cands[k] = cand
 
 
 def _subgraph_exists(host: Graph, pattern: Graph) -> bool:
@@ -276,48 +277,37 @@ def _subgraph_exists(host: Graph, pattern: Graph) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _symmetry_breaking(pattern: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
-    """The pattern without isolated vertices (its core), and the core's symmetry-breaking conditions.
+def _symmetry_breaking(pattern: Graph) -> tuple[Graph, tuple[int, ...], int]:
+    """The pattern without isolated vertices (its core), its symmetry-breaking bounds, and |Aut(core)|.
 
     The embeddings of the core that make one copy differ by an automorphism
-    of the core, and the conditions (Grochow & Kellis, RECOMB 2007) let
-    exactly one of them through: below[k] lists the vertices a placed
-    before order[k], in the core's unpinned placement order, with
-    emb[a] < emb[order[k]].  Walking that order, vertex v gets a condition
-    against each other vertex of its orbit under the automorphisms that fix
-    the vertices before it, until only the identity fixes them.  An orbit
-    costs one automorphism query (a pinned embedding of the core into
-    itself) per candidate image, so Aut (12! elements for K1+E12) is never
-    listed.  Isolated vertices carry no edge; the caller checks that the
-    host has room for them.
+    of the core, and the bounds (Grochow & Kellis, RECOMB 2007) let exactly
+    one of them through.  Walking the core's unpinned placement order, each
+    other vertex w in the orbit of v, under the automorphisms that fix the
+    vertices before v, must land above v.  The vertices that w must land
+    above form a chain, each in the orbit of the one before, so lower keeps
+    the latest, or -1, at w's position.  |Aut| is the product of the orbit
+    sizes (orbit-stabilizer).  An orbit costs one automorphism query (a
+    pinned embedding of the core into itself) per candidate image, so Aut
+    (12! elements for K1+E12) is never listed.  Isolated vertices carry no
+    edge; the caller checks that the host has room for them.
     """
     core = pattern.induced([v for v in range(pattern.order) if pattern.adj[v]])
     order, _ = _plan(core)
-    pos = {v: k for k, v in enumerate(order)}
-    below = [[] for _ in order]
+    lower = [-1] * core.order
     degree = [row.bit_count() for row in core.adj]
+    aut = 1
     fixed = ()
-    for v in order:
+    for k, v in enumerate(order):
         if next(islice(_embeddings(core, core, fixed), 1, None), None) is None:
             break  # only the identity fixes the vertices before v
-        for w in order[pos[v] + 1:]:
+        for j, w in enumerate(order[k + 1:], k + 1):
             if degree[w] == degree[v] and next(
                     _embeddings(core, core, fixed + ((v, 1 << w),)), None) is not None:
-                below[pos[w]].append(v)
+                lower[j] = v
+        aut *= 1 + lower.count(v)  # v's orbit: v and the vertices it has just bounded
         fixed += ((v, 1 << v),)
-    return core, tuple(map(tuple, below))
-
-
-def _core_automorphisms(pattern: Graph) -> tuple[int, int]:
-    """The vertex count of the pattern's core and the order of the core's automorphism group.
-
-    By orbit-stabilizer, |Aut| is the product of the orbit sizes along
-    _symmetry_breaking's walk, and the orbit of each vertex there is the
-    vertex itself and the vertices its conditions put above it.
-    """
-    core, below = _symmetry_breaking(pattern)
-    named = Counter(a for conds in below for a in conds)
-    return core.order, math.prod(1 + count for count in named.values())
+    return core, tuple(lower), aut
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +341,12 @@ def copy_through(g: Graph, target: TargetKind, u: int, v: int) -> list[tuple[int
     """The edges of one copy of the target in g that uses its edge uv, or None.
 
     An edgeless target has no such copy.  When g minus uv has no copy of
-    the target, None means that g has no copy at all.
+    the target, None means that g has no copy at all.  Raises ValueError
+    unless u and v are adjacent vertices of g.
     """
     adj = g.adj
+    if not (0 <= u < g.order and 0 <= v and adj[u] >> v & 1):
+        raise ValueError(f"({u}, {v}) is not an edge of the graph")
     if isinstance(target, Complete):
         rest = _clique_within(adj, adj[u] & adj[v], target.n - 2) if target.n >= 2 else None
         return None if rest is None else list(combinations([u, v] + _vertices(rest), 2))

@@ -176,6 +176,10 @@ def test_copy_enumeration_leaves_no_cyclic_garbage():
     assert _cyclic_garbage(lambda: arrows(k6, Complete(3), Complete(3))) == []
     # past the cap the search learns path copies through containment's path tail
     assert _cyclic_garbage(lambda: arrows(realize(Complete(7)), Path(5), Path(5), copy_cap=0)) == []
+    # generic searches that the caller stops at their first embedding
+    k3_k2 = Generic(parse_spec("K3 u K2"))
+    assert _cyclic_garbage(lambda: contains_target(k6, k3_k2)) == []
+    assert _cyclic_garbage(lambda: containment.copy_through(k6, k3_k2, 0, 1)) == []
 
 
 def test_lanes_transpose_the_copies():

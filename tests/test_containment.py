@@ -1,6 +1,8 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from ramarrow import containment, oracles
 from ramarrow.arrowing import arrows
 from ramarrow.containment import (
@@ -115,6 +117,16 @@ def test_rooted_detector_against_brute_force_copies():
                         assert mask in through, (g, target, a, b, copy)
 
 
+def test_copy_through_rejects_a_non_edge():
+    g = realize(parse_spec("K4\\P2"))  # 0 and 1 are not adjacent
+    targets = [Complete(3), Star(2), Path(3), Matching(2), Book(1), Fan(1), Generic(Path(3))]
+    for target in targets:
+        for u, v in ((0, 1), (1, 0), (0, 7), (-1, 2), (2, 2)):
+            with pytest.raises(ValueError):
+                copy_through(g, target, u, v)
+        assert copy_through(g, target, 0, 2) is not None, target
+
+
 def test_detected_families_never_use_the_generic_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("generic embedding search called")
@@ -171,17 +183,26 @@ def test_symmetry_breaking_keeps_one_embedding_per_copy():
         if not pattern.edge_count:
             continue
         checked += 1
-        core, below = containment._symmetry_breaking(pattern)
+        core, lower, aut_order = containment._symmetry_breaking(pattern)
         assert all(core.adj) and core.edge_count == pattern.edge_count
-        assert len(list(containment._embeddings(core, core, below=below))) == 1, pattern
-        # each vertex's conditions name its orbit under the automorphisms that fix
-        # the vertices before it, here from a full listing of Aut
+        assert len(list(containment._embeddings(core, core, lower=lower))) == 1, pattern
+        # checked against a full listing of Aut: its order, and each vertex's
+        # orbit under the automorphisms that fix the vertices before it, which
+        # is the vertex and every vertex whose chain of lower bounds passes it
         edges = set(core.edges)
         aut = [image for image in permutations(range(core.order))
                if all((min(image[a], image[b]), max(image[a], image[b])) in edges
                       for a, b in edges)]
+        assert aut_order == len(aut), pattern
         order, _ = containment._plan(core)
+        pos = {v: k for k, v in enumerate(order)}
+
+        def chain(w):
+            while lower[pos[w]] >= 0:
+                w = lower[pos[w]]
+                yield w
+
         for k, v in enumerate(order):
             stabilizer = [image for image in aut if all(image[u] == u for u in order[:k])]
             orbit = {image[v] for image in stabilizer}
-            assert orbit == {v} | {w for j, w in enumerate(order) if v in below[j]}, (pattern, k)
+            assert orbit == {v} | {w for w in order if v in chain(w)}, (pattern, k)
