@@ -12,14 +12,16 @@ propagation.  Each copy is one bit (a lane) of big ints: per host edge,
 the copies through it; per color, the copies still alive and the copies
 with one free edge left; and bit-sliced planes holding every alive copy's
 free-edge count.  Coloring an edge updates all copies through it at once,
-in a few big-int operations, and backtracking restores a saved state.
-When the copies pass the copy cap, the same search learns its clauses
-instead: each newly colored edge asks for a copy through it in its color
-class, and a copy found is a conflict and a new lane.  The generator
-yields the red edge mask of each complete free coloring it reaches;
-arrows takes the first (exhausting the space proves arrowing, and a
-coloring is re-verified before it is returned as a counterexample), and
-all_free_colorings takes them all.
+in a few big-int operations; the copies it leaves with one free edge wait
+on a stack as one lane mask, and propagation reads their free edges one
+lane at a time, so a conflict leaves the rest unread.  Backtracking
+restores a saved state.  When the copies pass the copy cap, the same
+search learns its clauses instead: each newly colored edge asks for a
+copy through it in its color class, and a copy found is a conflict and a
+new lane.  The generator yields the red edge mask of each complete free
+coloring it reaches; arrows takes the first (exhausting the space proves
+arrowing, and a coloring is re-verified before it is returned as a
+counterexample), and all_free_colorings takes them all.
 """
 
 from __future__ import annotations
@@ -351,9 +353,14 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
     count.  Coloring e with c kills the lanes of the other color through e.
     Of the alive lanes of c through e, a unit lane is a copy now all c, a
     conflict; the others take a ripple-borrow decrement, and the borrow out
-    of the last plane is the set of new unit lanes, each of whose one free
-    edge is queued for the other color, lowest lane first.  A step builds a
-    new state, so backtracking restores a saved one.
+    of the last plane is the set of new unit lanes.  It goes onto a pending
+    stack as one (lanes, c) entry.  Each pop takes the highest lane of the
+    top entry, so units are processed newest batch first and, within a
+    batch, highest lane first, and colors that copy's one free edge, read
+    from the current edge masks, with the other color; the lane is skipped
+    when another unit has colored that edge since.  Only the edge a step
+    starts from can already be colored.  A step builds a new state, so
+    backtracking restores a saved one.
 
     When either target has more than copy_cap copies, both sides learn
     their clauses instead: every state the search reaches has no
@@ -411,16 +418,16 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
 
     def step(state, e, c):
         # state with edge e colored c and its consequences, or None on a conflict
+        b = bit[e]
+        if state[c] & b:
+            return state
+        if state[1 - c] & b:
+            return None
         s = list(state)
-        queue = [(e, c)]
-        while queue:
-            e, c = queue.pop()
-            b = bit[e]
-            if s[c] & b:
-                continue
+        # (unit lanes, their color) batches whose one free edge takes the other color
+        pending = []
+        while True:
             flip = 1 - c
-            if s[flip] & b:
-                return None
             s[c] |= b
             s[2 + flip] &= ~lanes[flip][e]
             hit = lanes[c][e] & s[2 + c]
@@ -436,12 +443,7 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
                 else:
                     # the borrow out of the last plane: copies left with one free edge
                     s[4 + c] |= hit
-                    free = ~(s[RED] | s[BLUE])
-                    cps = copies[c]
-                    while hit:
-                        low = hit & -hit
-                        hit ^= low
-                        queue.append(((cps[low.bit_length() - 1] & free).bit_length() - 1, flip))
+                    pending.append((hit, c))
             if learning:
                 x, y = edges[e]
                 rows = list(s[rows_at + c])
@@ -450,7 +452,22 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
                 s[rows_at + c] = rows = tuple(rows)
                 if learn(rows, e, c):
                     return None
-        return s
+            # the next unit: the highest lane of the newest batch.  Its one
+            # free edge may have been colored since, and then with the other
+            # color (its own would have been a conflict, already returned), so
+            # the copy is dead and skipped
+            while pending:
+                units, u = pending.pop()
+                j = units.bit_length() - 1
+                units ^= 1 << j
+                if units:
+                    pending.append((units, u))
+                b = copies[u][j] & ~(s[RED] | s[BLUE])
+                if b:
+                    e, c = b.bit_length() - 1, 1 - u
+                    break
+            else:
+                return s
 
     def catch_up(state, since):
         # the state with the lanes learned after learned[:since], counted from its edge masks

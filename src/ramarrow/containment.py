@@ -288,21 +288,27 @@ def _symmetry_breaking(pattern: Graph) -> tuple[Graph, tuple[int, ...], int]:
     above form a chain, each in the orbit of the one before, so lower keeps
     the latest, or -1, at w's position.  |Aut| is the product of the orbit
     sizes (orbit-stabilizer).  An orbit costs one automorphism query (a
-    pinned embedding of the core into itself) per candidate image, so Aut
-    (12! elements for K1+E12) is never listed.  Isolated vertices carry no
+    pinned embedding of the core into itself) per candidate image that is
+    not a twin of v, so Aut (12! elements for K1+E12) is never listed, and
+    a star's leaves, all twins, cost no query each.  Isolated vertices carry no
     edge; the caller checks that the host has room for them.
     """
     core = pattern.induced([v for v in range(pattern.order) if pattern.adj[v]])
     order, _ = _plan(core)
     lower = [-1] * core.order
-    degree = [row.bit_count() for row in core.adj]
+    adj = core.adj
+    degree = [row.bit_count() for row in adj]
     aut = 1
     fixed = ()
     for k, v in enumerate(order):
-        if next(islice(_embeddings(core, core, fixed), 1, None), None) is None:
+        # a twin of v (the same neighbors, v and itself aside) is in v's orbit
+        # with no query: swapping the two fixes every other vertex
+        twins = {j for j in range(k + 1, len(order))
+                 if adj[v] & ~(1 << order[j]) == adj[order[j]] & ~(1 << v)}
+        if not twins and next(islice(_embeddings(core, core, fixed), 1, None), None) is None:
             break  # only the identity fixes the vertices before v
         for j, w in enumerate(order[k + 1:], k + 1):
-            if degree[w] == degree[v] and next(
+            if j in twins or degree[w] == degree[v] and next(
                     _embeddings(core, core, fixed + ((v, 1 << w),)), None) is not None:
                 lower[j] = v
         aut *= 1 + lower.count(v)  # v's orbit: v and the vertices it has just bounded

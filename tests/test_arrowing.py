@@ -22,7 +22,13 @@ from ramarrow.arrowing import (
     _lanes,
 )
 from ramarrow.coloring import BLUE, RED, Coloring, monochromatic_subgraph
-from ramarrow.containment import Generic, contains_target, target_from_spec, target_to_spec
+from ramarrow.containment import (
+    Generic,
+    contains_target,
+    target_from_spec,
+    target_label,
+    target_to_spec,
+)
 from ramarrow.graphs import (
     Book,
     Complete,
@@ -31,9 +37,11 @@ from ramarrow.graphs import (
     Minus,
     Path,
     Star,
+    graph6_encode,
     parse_spec,
     realize,
 )
+from ramarrow.verify import _RANDOM_TARGET_POOL
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -444,11 +452,54 @@ def _learned_grid() -> dict[str, list]:
 
 
 def test_learned_propagation_order_is_pinned():
-    # learned_grid.json holds _learned_grid() (72 searches).  Past the cap the
-    # node counts depend on the order in which units of learned copies are
-    # queued, lowest copy first: K7 (P4,K3) takes 176 nodes, and 178 when the
-    # highest copy goes first.
+    # learned_grid.json holds _learned_grid() (72 searches).  Past the cap
+    # every colored edge may learn a copy, so the node counts depend on the
+    # order in which unit copies are propagated: the newest batch of units
+    # first and, within a batch, the highest lane first.  K7 (P4,K3) takes
+    # 176 nodes, and 178 when the lowest lane of a batch goes first.
     assert _learned_grid() == json.loads((DATA / "learned_grid.json").read_text())
+
+
+def _clause_grid() -> dict[str, list]:
+    """Verdict, node count and counterexample red mask of seeded clause-mode searches.
+
+    Each entry holds the default branch order's outcome, then the canonical
+    order's, for a K_r\\X host or a random host (named by its graph6 text)
+    and two targets from the verify suite's random pool.
+    """
+    rng = random.Random(18)
+    # the blue target always has two edges or more, so that most searches branch
+    blues = [t for t in _RANDOM_TARGET_POOL if realize(t).edge_count > 1]
+    cases = []
+    for r in range(6, 11):
+        for x in ("P3", "P5", "M3", "K4"):
+            spec = f"K{r}\\{x}"
+            host = realize(parse_spec(spec))
+            for _ in range(4):
+                cases.append((spec, host, rng.choice(_RANDOM_TARGET_POOL), rng.choice(blues)))
+    while len(cases) < 150:
+        host = oracles.random_graph(rng, rng.randint(6, 10), rng.uniform(0.3, 0.8))
+        cases.append((graph6_encode(host), host, rng.choice(_RANDOM_TARGET_POOL),
+                      rng.choice(blues)))
+    grid = {}
+    for label, host, red, blue in cases:
+        runs = []
+        for deterministic in (False, True):
+            result = arrows(host, red, blue, deterministic=deterministic)
+            assert result.stats.propagation_mode == "clauses"
+            found = result.counterexample
+            runs.append([result.verdict, result.stats.nodes, None if found is None else found.red])
+        grid[f"{label} {target_label(red)} {target_label(blue)}"] = runs
+    return grid
+
+
+def test_clause_mode_outcomes_are_pinned():
+    # clause_grid.json holds _clause_grid(): 150 seeded searches in each
+    # branch order, two of them the same draw, so 149 entries.  With every
+    # copy a clause, a step propagates to the same state or the same
+    # conflict in whatever order it takes its units, so these must not move
+    # when the propagation loop changes
+    assert _clause_grid() == json.loads((DATA / "clause_grid.json").read_text())
 
 
 @pytest.mark.parametrize(

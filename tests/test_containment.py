@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from itertools import permutations
 
@@ -25,10 +27,13 @@ from ramarrow.graphs import (
     Path,
     Star,
     Union,
+    graph6_encode,
     parse_spec,
     realize,
     stats,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 ALL_FAMILIES = (Complete, Star, Path, Matching, Book, Fan)
 
@@ -131,13 +136,19 @@ def test_detected_families_never_use_the_generic_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("generic embedding search called")
 
+    runs = ((7, Fan(2), Star(3)), (8, Book(2), Complete(3)), (6, Path(5), Matching(3)))
+    # a complete host counts each target's copies from its pattern's
+    # automorphisms, a walk of pattern into pattern made once per pattern and
+    # cached: warm it first, since it is no search of a host
+    for _, red, blue in runs:
+        for target in (red, blue):
+            containment._symmetry_breaking(containment._pattern(target))
     monkeypatch.setattr(containment, "_embeddings", refuse)
     g = realize(Complete(7))
     for target in (Complete(3), Star(3), Path(5), Matching(3), Book(2), Fan(2)):
         copy = copy_through(g, target, 2, 5)
         edges = sorted(tuple(sorted(edge)) for edge in copy)
         assert (2, 5) in edges and len(set(edges)) == realize(target).edge_count, (target, copy)
-    runs = ((7, Fan(2), Star(3)), (8, Book(2), Complete(3)), (6, Path(5), Matching(3)))
     for r, red, blue in runs:
         host = realize(Complete(r))
         learned = arrows(host, red, blue, copy_cap=0)
@@ -206,3 +217,31 @@ def test_symmetry_breaking_keeps_one_embedding_per_copy():
             stabilizer = [image for image in aut if all(image[u] == u for u in order[:k])]
             orbit = {image[v] for image in stabilizer}
             assert orbit == {v} | {w for w in order if v in chain(w)}, (pattern, k)
+
+
+def _symmetry_breaking_table() -> dict[str, list]:
+    """Core order, core edges, bounds and |Aut| for named and seeded random patterns."""
+    specs = ([f"S{n}" for n in (1, 2, 3, 5, 12, 45)] + [f"M{n}" for n in (1, 2, 4, 7)]
+             + ["K1+E12", "K3 u K2", "K4\\P4", "K1+P4", "P3 u P3 u K2", "K2+E3", "K3 u E2",
+                "E2+E2 u E1", "K3 u K3", "E3+E3", "F3", "B3", "K5\\M2", "P6", "K4", "S3 u S3",
+                "M2 u P3 u E2", "K2+E2 u K2"])
+    patterns = [(spec, realize(parse_spec(spec))) for spec in specs]
+    rng = random.Random(43)
+    for _ in range(60):
+        g = oracles.random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.9))
+        if g.edge_count:
+            patterns.append((graph6_encode(g), g))
+    table = {}
+    for name, pattern in patterns:
+        core, lower, aut = containment._symmetry_breaking(pattern)
+        table[name] = [core.order, [list(e) for e in core.edges], list(lower), aut]
+    return table
+
+
+def test_symmetry_breaking_is_pinned():
+    # symmetry_breaking.json holds _symmetry_breaking_table() computed with
+    # one automorphism query per candidate image, twins included, so taking
+    # twins into an orbit without a query must leave every bound and |Aut|
+    # as they were; stars, matchings and K1+E12 are mostly twins
+    containment._symmetry_breaking.cache_clear()
+    assert _symmetry_breaking_table() == json.loads((DATA / "symmetry_breaking.json").read_text())
