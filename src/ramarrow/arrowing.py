@@ -37,6 +37,7 @@ from .coloring import BLUE, RED, Coloring, monochromatic_subgraph
 from .containment import (
     TargetKind,
     _embeddings,
+    _leaf,
     _pattern,
     _symmetry_breaking,
     contains_target,
@@ -121,10 +122,10 @@ class DeletionFamily(Enum):
 # from its one hub, a matching or fan's disjoint parts in increasing index
 # order, a book from its one spine, and a generic target's core through
 # the one embedding per copy that its symmetry-breaking bounds, one lower
-# bound per vertex, allow (containment._symmetry_breaking).  A target whose
-# graph is complete goes to the clique enumerator, whatever its kind: the
-# K2 of Star(1) and the K3 of Book(1) and Fan(1) have two or three hubs or
-# spines to be emitted from.  On a complete host the copies of every
+# bound per vertex, allow (containment._symmetry_breaking).  A target's
+# graph picks the enumerator, the first detected family it is a member of
+# (containment._leaf), so K1+P3 goes to the book's and Star(1) to the
+# clique's; Generic forces the walk.  On a complete host the copies of every
 # target are counted from |Aut| of its core, read off the same walk, before
 # any is built (_copies_in_complete), so a count past the cap raises at once.
 
@@ -249,21 +250,22 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
         if len(copies) > cap:
             raise CopyCapError(f"more than {cap} target copies in the host")
 
-    if k == p * (p - 1) // 2:
-        _clique_copies(adj, bits, p, emit, [], 0, (1 << n) - 1)
-    elif isinstance(target, Star):
-        _star_copies(bits, target.n, emit)
-    elif isinstance(target, Path):
+    leaf = _leaf(target)
+    if isinstance(leaf, Complete):
+        _clique_copies(adj, bits, leaf.n, emit, [], 0, (1 << n) - 1)
+    elif isinstance(leaf, Star):
+        _star_copies(bits, leaf.n, emit)
+    elif isinstance(leaf, Path):
         # a path is emitted from its lower end only
         for start in range(n):
-            _path_copies_from(adj, bits, emit, start, 1 << start, 0, target.n - 1, -(2 << start))
-    elif isinstance(target, Matching):
+            _path_copies_from(adj, bits, emit, start, 1 << start, 0, leaf.n - 1, -(2 << start))
+    elif isinstance(leaf, Matching):
         _disjoint_copies([(1 << u | 1 << v, 1 << i) for i, (u, v) in enumerate(host.edges)],
-                         target.m, emit)
-    elif isinstance(target, Book):
-        _book_copies(host, bits, target.m, emit)
-    elif isinstance(target, Fan):
-        _fan_copies(host, bits, target.n, emit)
+                         leaf.m, emit)
+    elif isinstance(leaf, Book):
+        _book_copies(host, bits, leaf.m, emit)
+    elif isinstance(leaf, Fan):
+        _fan_copies(host, bits, leaf.n, emit)
     else:
         core, lower, _ = _symmetry_breaking(pattern)
         pedges = core.edges

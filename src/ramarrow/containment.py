@@ -2,15 +2,17 @@
 
 Targets are plain graph expressions.  Every predicate answers "does the
 graph contain a copy of the target", never induced containment.  The leaf
-families the searches actually use (Complete, Star, Path, Matching, Book,
-Fan) have specialized detectors; every other expression, and any target
-wrapped in Generic, falls back to backtracking subgraph isomorphism with
-degree pruning, one explicit-stack loop over the pattern's vertices.  The
-same loop lists a generic target's copies for arrowing.enumerate_copies,
-each copy once and with no dedup set: _symmetry_breaking gives each
-pattern vertex at most one lower bound, and those let through one of the
-embeddings that make each copy.  The walk that finds the bounds also
-reads off |Aut|, which counts a target's copies in a complete host.
+families the searches use (Complete, Star, Path, Matching, Book, Fan)
+have specialized detectors, which serve every target whose graph is a
+member, however it is spelled (_leaf: K1+P3 is B2).  Any other target,
+and any wrapped in Generic, falls back to backtracking subgraph
+isomorphism with degree pruning, one explicit-stack loop over the
+pattern's vertices.  The same loop lists a generic target's copies for
+arrowing.enumerate_copies, each copy once and with no dedup set:
+_symmetry_breaking gives each pattern vertex at most one lower bound, and
+those let through one of the embeddings that make each copy.  The walk
+that finds the bounds reads off |Aut|, which counts a target's copies in
+a complete host.
 
 copy_through answers the rooted question "is there a copy that uses edge
 uv" with the edges of one such copy: the witness of a detected family's
@@ -43,8 +45,8 @@ _DETECTED = (Complete, Star, Path, Matching, Book, Fan)
 
 
 def target_from_spec(spec: GraphSpec) -> TargetKind:
-    """A detected leaf as it is; any other expression wrapped in Generic."""
-    return spec if isinstance(spec, _DETECTED) else Generic(spec)
+    """A detected leaf as it is, any other expression as the leaf its graph is, else Generic."""
+    return spec if isinstance(spec, _DETECTED) else _leaf(spec) or Generic(spec)
 
 
 def target_to_spec(target: TargetKind) -> GraphSpec:
@@ -320,6 +322,37 @@ def _symmetry_breaking(pattern: Graph) -> tuple[Graph, tuple[int, ...], int]:
 # Dispatch
 
 
+@lru_cache(maxsize=1024)
+def family_parameter(spec: GraphSpec, family: type) -> int | None:
+    """k when family(k) is isomorphic to the spec's graph, else None.
+
+    A member answers from its own parameter, unrealized; any other spec is
+    realized, so one past the vertex cap is not recognized.  The search runs
+    on equal degree sequences alone, which fix every member but a path (a
+    shorter path beside cycles shares its degrees), so it stays short.
+    """
+    if isinstance(spec, family):
+        return spec.n if hasattr(spec, "n") else spec.m
+    p = graphs.spec_order(spec)
+    if p > graphs.MAX_ORDER:
+        return None
+    k = next((k for k in range(1, p + 1) if graphs.spec_order(family(k)) == p), None)
+    if k is None:
+        return None
+    graph, member = _pattern(spec), realize(family(k))
+    same = sorted(map(int.bit_count, graph.adj)) == sorted(map(int.bit_count, member.adj))
+    return k if same and _subgraph_exists(graph, member) else None
+
+
+@lru_cache(maxsize=256)
+def _leaf(target: TargetKind) -> GraphSpec | None:
+    """The first detected family member (Complete first) isomorphic to the target; None for Generic."""
+    if isinstance(target, Generic):
+        return None
+    return next((family(k) for family in _DETECTED
+                 if (k := family_parameter(target, family)) is not None), None)
+
+
 def contains_target(g: Graph, target: TargetKind) -> bool:
     """True iff g has a (not necessarily induced) copy of the target."""
     if isinstance(target, Complete):
@@ -336,7 +369,8 @@ def contains_target(g: Graph, target: TargetKind) -> bool:
     if isinstance(target, Fan):
         adj = g.adj
         return any(_matching_within(adj, row, target.n) is not None for row in adj)
-    return _subgraph_exists(g, _pattern(target))
+    leaf = _leaf(target)
+    return _subgraph_exists(g, _pattern(target)) if leaf is None else contains_target(g, leaf)
 
 
 def _vertices(mask: int) -> list[int]:
@@ -388,6 +422,9 @@ def copy_through(g: Graph, target: TargetKind, u: int, v: int) -> list[tuple[int
                 if rims is not None:
                     return [e for x, y in rims + [(a, b)] for e in ((hub, x), (hub, y), (x, y))]
         return None
+    leaf = _leaf(target)
+    if leaf is not None:
+        return copy_through(g, leaf, u, v)
     # some pattern edge ab lands on uv, in either orientation, on endpoints of enough degree
     pattern = _pattern(target)
     pdeg = [row.bit_count() for row in pattern.adj]

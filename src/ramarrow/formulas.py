@@ -9,20 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .containment import max_clique_size
-from .graphs import (
-    Book,
-    Complete,
-    Empty,
-    Fan,
-    Graph,
-    GraphSpec,
-    Matching,
-    Path,
-    Star,
-    realize,
-    stats,
-)
+from .containment import family_parameter, max_clique_size
+from .graphs import Book, Complete, Fan, Graph, GraphSpec, Matching, Path, Star, realize, stats
 
 
 class HypothesisError(ValueError):
@@ -168,35 +156,11 @@ def path_critical_upper_bound(G: GraphSpec, H: GraphSpec, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Catalog aliases.  Tiny graphs coincide across families; each row lists the
-# spellings of one graph so that equivalent spellings hit the same entries.
-
-_ALIASES = (
-    (Complete(1), Path(1), Empty(1)),
-    (Complete(2), Path(2), Star(1), Matching(1)),
-    (Complete(3), Book(1), Fan(1)),
-    (Path(3), Star(2)),
-)
-
-
-def _spellings(spec: GraphSpec) -> tuple[GraphSpec, ...]:
-    """The row of _ALIASES that holds spec, or spec alone."""
-    return next((row for row in _ALIASES if spec in row), (spec,))
-
-
-def _param(spellings: tuple[GraphSpec, ...], family: type) -> int | None:
-    """k such that family(k) is one of the spellings, or None."""
-    for leaf in spellings:
-        if isinstance(leaf, family):
-            return leaf.n if hasattr(leaf, "n") else leaf.m
-    return None
-
-
-# ---------------------------------------------------------------------------
 # The catalog: one row per family pair, (source, G family, H family, R, R_pi).
 # R and R_pi take the two family parameters and return None outside their
 # validity range; a lookup takes the first row that answers, with the pair
-# in either order since R(G,H) = R(H,G).
+# in either order since R(G,H) = R(H,G), and each parameter read off the
+# graph (containment.family_parameter), so K1+P3 answers as B2, P3 as S2.
 
 _CATALOG = (
     ("star-clique", Star, Complete,
@@ -224,10 +188,9 @@ _CATALOG = (
 
 
 def _lookup(red: GraphSpec, blue: GraphSpec, column: int, prefix: str) -> KnownValue | None:
-    spellings = _spellings(red), _spellings(blue)
-    for a, b in (spellings, spellings[::-1]):
+    for a, b in ((red, blue), (blue, red)):
         for source, g_family, h_family, *values in _CATALOG:
-            n, m = _param(a, g_family), _param(b, h_family)
+            n, m = family_parameter(a, g_family), family_parameter(b, h_family)
             if n is not None and m is not None:
                 value = values[column](n, m)
                 if value is not None:

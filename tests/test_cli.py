@@ -298,6 +298,15 @@ def test_numbers_star_examples(capsys):
     assert report["outputs"]["critical"]["value"] == 0
 
 
+def test_numbers_reads_the_catalog_for_any_spelling(capsys):
+    # K1+E3 is the star S3, so it gets the star-clique rows
+    code, out, _ = run_cli(capsys, "numbers", "--red", "K1+E3", "--blue", "K3", "--json")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["ramsey"]["catalog_source"] == "star-clique"
+    assert outputs["critical"]["closed_form_source"] == "path-critical star-clique"
+
+
 def test_numbers_edgeless_target(capsys):
     # K1 already holds a red K1, so R(K1, K3) = 1
     code, out, _ = run_cli(capsys, "numbers", "--red", "K1", "--blue", "K3")

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from ramarrow import containment, oracles
-from ramarrow.arrowing import arrows
+from ramarrow.arrowing import arrows, enumerate_copies
 from ramarrow.containment import (
     Generic,
     contains_target,
@@ -137,12 +137,18 @@ def test_detected_families_never_use_the_generic_search(monkeypatch):
         raise AssertionError("generic embedding search called")
 
     runs = ((7, Fan(2), Star(3)), (8, Book(2), Complete(3)), (6, Path(5), Matching(3)))
+    # other spellings of family members, each with the leaf its graph is
+    respelled = [(parse_spec(spec), leaf) for spec, leaf in (
+        ("K4\\P4", Path(4)), ("K1+E3", Star(3)), ("E1+2*K2", Fan(2)),
+        ("K1+P3", Book(2)), ("2*K2", Matching(2)), ("K2+K1", Complete(3)))]
     # a complete host counts each target's copies from its pattern's
     # automorphisms, a walk of pattern into pattern made once per pattern and
-    # cached: warm it first, since it is no search of a host
-    for _, red, blue in runs:
-        for target in (red, blue):
-            containment._symmetry_breaking(containment._pattern(target))
+    # cached, and a target's family is read off its pattern by one cached
+    # isomorphism check: warm both first, since neither is a search of a host
+    targets = [t for _, *pair in runs for t in pair] + [t for pair in respelled for t in pair]
+    for target in targets + [Star(2)]:
+        containment._symmetry_breaking(containment._pattern(target))
+        containment._leaf(target)
     monkeypatch.setattr(containment, "_embeddings", refuse)
     g = realize(Complete(7))
     for target in (Complete(3), Star(3), Path(5), Matching(3), Book(2), Fan(2)):
@@ -154,6 +160,28 @@ def test_detected_families_never_use_the_generic_search(monkeypatch):
         learned = arrows(host, red, blue, copy_cap=0)
         assert learned.stats.propagation_mode == "learned"
         assert learned.verdict == arrows(host, red, blue).verdict, (r, red, blue)
+    host = realize(parse_spec("K6\\P3"))
+    for spec, leaf in respelled:
+        assert contains_target(host, spec) == contains_target(host, leaf), spec
+        assert enumerate_copies(host, spec) == enumerate_copies(host, leaf), spec
+        for u, v in host.edges:
+            assert copy_through(host, spec, u, v) == copy_through(host, leaf, u, v), (spec, u, v)
+        spelled, named = (arrows(host, t, Star(2), copy_cap=0) for t in (spec, leaf))
+        assert spelled.stats.propagation_mode == named.stats.propagation_mode == "learned"
+        assert (spelled.verdict, spelled.counterexample, spelled.stats.nodes) == (
+            named.verdict, named.counterexample, named.stats.nodes), spec
+
+
+def test_recognizer_turns_other_degrees_down_without_a_search(monkeypatch):
+    # P3 u 30*K2 u E1 has M32's order and edge count; a search for M32 in it
+    # would try the 31 fitting edges in every order before failing
+    def refuse(*args, **kwargs):
+        raise AssertionError("generic embedding search called")
+
+    monkeypatch.setattr(containment, "_embeddings", refuse)
+    spec = parse_spec("P3 u 30*K2 u E1")
+    assert containment.family_parameter(spec, Matching) is None
+    assert target_from_spec(spec) == Generic(spec)
 
 
 def test_monotone_under_edge_addition():
@@ -179,8 +207,9 @@ def test_monotone_under_edge_addition():
 def test_target_spec_round_trip():
     for target in [Complete(3), Star(2), Path(5), Matching(2), Book(2), Fan(3)]:
         assert target_from_spec(target_to_spec(target)) == target
-    generic = Generic(Minus(Complete(4), Path(4)))
+    generic = Generic(parse_spec("K3 u K2"))
     assert target_from_spec(target_to_spec(generic)) == generic
+    assert target_from_spec(parse_spec("K4\\P4")) == Path(4)
     assert target_from_spec(Star(3)) == Star(3)
     assert target_from_spec(Fan(2)) == Fan(2)
     assert target_from_spec(Matching(4)) == Matching(4)

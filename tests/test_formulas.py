@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ramarrow import oracles
+from ramarrow.containment import Generic, target_from_spec
 from ramarrow.formulas import (
     HypothesisError,
     burr_bound,
@@ -25,6 +26,7 @@ from ramarrow.graphs import (
     Minus,
     Path,
     Star,
+    parse_spec,
     realize,
     spec_to_text,
 )
@@ -150,6 +152,11 @@ def test_known_ramsey_symmetry_and_aliases():
         (Complete(2), Path(2), Star(1), Matching(1)),
         (Complete(3), Book(1), Fan(1)),
         (Path(3), Star(2)),
+        (parse_spec("K1+E3"), Star(3)),
+        (parse_spec("E1+2*K2"), Fan(2)),
+        (parse_spec("2*K2"), Matching(2)),
+        (parse_spec("K1+P3"), Book(2)),
+        (parse_spec("K4\\P4"), Path(4)),
     ]
     families = (Complete, Path, Star, Book, Fan, Matching, Empty)
     partners = [family(k) for family in families for k in range(1, 10)]
@@ -159,6 +166,19 @@ def test_known_ramsey_symmetry_and_aliases():
                 first = {lookup(spelling, partner) for spelling in row}
                 second = {lookup(partner, spelling) for spelling in row}
                 assert len(first) == len(second) == 1, (lookup.__name__, row, partner)
+
+
+def test_leaves_past_the_vertex_cap_are_read_unrealized():
+    # a family member answers from its own parameter, so the catalog and
+    # target_from_spec take leaves past the 64-vertex cap; any other
+    # expression past the cap is not recognized, and raises nothing
+    assert known_ramsey(Star(100), Complete(3)).value == 201
+    assert known_ramsey(Fan(40), Complete(3)).value == 161
+    assert known_ramsey(Matching(40), Matching(40)).value == 119
+    assert target_from_spec(Star(64)) == Star(64)
+    fan = parse_spec("E1 + 40*K2")
+    assert target_from_spec(fan) == Generic(fan)
+    assert known_ramsey(fan, Complete(3)) is None
 
 
 def test_known_ramsey_outside_validity():
