@@ -20,6 +20,14 @@ rooted detector, or a generic search with one pattern edge pinned on uv.
 The search asks only that after coloring uv when it learns its copy
 clauses, since a color class that had no copy before can only gain one
 through its new edge.
+
+Both path searches skip a connected component with fewer vertices than
+the path.  The existence check also remembers, for one call, the dead
+ends it has walked: a set of visited vertices and the vertex the path
+stopped at, which fix the length still to go.  The rooted path search
+keeps its plain DFS order, so the copy it returns, which learned mode
+turns into a clause, does not change; a memo there costs more than it
+saves on the small color classes that search mostly sees.
 """
 
 from __future__ import annotations
@@ -152,11 +160,48 @@ def _extend_path(adj, v: int, visited: int, remaining: int) -> list[tuple[int, i
     return None
 
 
-def _has_path(g: Graph, n: int) -> bool:
-    if n > g.order:
+def _path_exists(adj, v: int, visited: int, remaining: int, dead: set[int]) -> bool:
+    """True iff a path goes on from v through `remaining` more unvisited vertices.
+
+    dead holds the keys visited << 6 | v of states known to fail.  The
+    caller fixes the path's order, so visited fixes remaining.
+    """
+    if remaining == 0:
+        return True
+    key = visited << 6 | v
+    if key in dead:
         return False
+    ext = adj[v] & ~visited
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        if _path_exists(adj, low.bit_length() - 1, visited | low, remaining - 1, dead):
+            return True
+    dead.add(key)
+    return False
+
+
+def _has_path(g: Graph, n: int) -> bool:
+    """True iff g has a path on n vertices.
+
+    Each start first walks its component until it reaches n vertices; a
+    component that runs out first is too small, and all its vertices are
+    skipped.  The starts share one set of dead states.
+    """
     adj = g.adj
-    return any(_extend_path(adj, start, 1 << start, n - 1) is not None for start in range(g.order))
+    unseen = (1 << g.order) - 1 if n <= g.order else 0
+    dead: set[int] = set()
+    while unseen:
+        low = unseen & -unseen
+        start = low.bit_length() - 1
+        reach = graphs.component(adj, start, n)
+        if reach.bit_count() < n:
+            unseen &= ~reach
+        elif _path_exists(adj, start, low, n - 1, dead):
+            return True
+        else:
+            unseen ^= low
+    return False
 
 
 def _path_tail(adj, u: int, end: int, visited: int, left: int) -> list[tuple[int, int]] | None:
@@ -164,6 +209,9 @@ def _path_tail(adj, u: int, end: int, visited: int, left: int) -> list[tuple[int
 
     The path grows a tail from end first, then a head from u.
     """
+    if not adj[u] & ~visited:
+        # u has no unvisited neighbour, so the path grows from end alone
+        return _extend_path(adj, end, visited, left)
     found = _extend_path(adj, u, visited, left)
     if found is not None:
         return found
@@ -179,7 +227,12 @@ def _path_tail(adj, u: int, end: int, visited: int, left: int) -> list[tuple[int
 
 
 def _path_through(adj, u: int, v: int, n: int) -> list[tuple[int, int]] | None:
-    """The edges of a path on n >= 2 vertices using edge uv: a tail from v, then a head from u."""
+    """The edges of a path on n >= 2 vertices using edge uv: a tail from v, then a head from u.
+
+    A component of u with fewer than n vertices holds no such path.
+    """
+    if graphs.component(adj, u, n).bit_count() < n:
+        return None
     found = _path_tail(adj, u, v, 1 << u | 1 << v, n - 2)
     return None if found is None else found + [(u, v)]
 

@@ -568,23 +568,33 @@ class GraphStats:
     edge_count: int
 
 
-def stats(g: Graph) -> GraphStats:
-    degrees = [row.bit_count() for row in g.adj]
-    reached = 1
-    while True:
-        frontier = reached
-        grown = reached
+def component(adj, v: int, enough: int = MAX_ORDER) -> int:
+    """The vertex mask of v's connected component, given adjacency rows.
+
+    The walk stops early, with part of the component, once it holds
+    `enough` vertices.
+    """
+    reached = 1 << v
+    frontier = adj[v]
+    while frontier:
+        reached |= frontier
+        if reached.bit_count() >= enough:
+            break
+        grown = 0
         while frontier:
             low = frontier & -frontier
-            grown |= g.adj[low.bit_length() - 1]
+            grown |= adj[low.bit_length() - 1]
             frontier ^= low
-        if grown == reached:
-            break
-        reached = grown
+        frontier = grown & ~reached
+    return reached
+
+
+def stats(g: Graph) -> GraphStats:
+    degrees = [row.bit_count() for row in g.adj]
     return GraphStats(
         min_degree=min(degrees),
         max_degree=max(degrees),
-        is_connected=reached == (1 << g.order) - 1,
+        is_connected=component(g.adj, 0) == (1 << g.order) - 1,
         edge_count=sum(degrees) // 2,
     )
 

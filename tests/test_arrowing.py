@@ -459,6 +459,31 @@ def test_learned_propagation_order_is_pinned():
     assert _learned_grid() == json.loads((DATA / "learned_grid.json").read_text())
 
 
+def _learned_path_grid() -> dict[str, list]:
+    """Verdict, node count and counterexample red mask of learned-mode path searches.
+
+    Each entry holds the default branch order's outcome, then the canonical
+    order's.
+    """
+    grid = {}
+    for order, n, m, cap in ((7, 6, 6, 0), (8, 6, 6, 0), (8, 7, 6, 0), (11, 9, 9, 100_000)):
+        host = realize(Complete(order))
+        runs = []
+        for deterministic in (False, True):
+            result = arrows(host, Path(n), Path(m), copy_cap=cap, deterministic=deterministic)
+            found = result.counterexample
+            runs.append([result.verdict, result.stats.nodes, None if found is None else found.red])
+        grid[f"K{order} P{n} P{m} copy_cap={cap}"] = runs
+    return grid
+
+
+def test_learned_path_outcomes_are_pinned():
+    # learned_paths.json holds _learned_path_grid().  Learned mode turns the
+    # rooted path search's first copy into a clause, so these move if that
+    # search's order or its answers change
+    assert _learned_path_grid() == json.loads((DATA / "learned_paths.json").read_text())
+
+
 def _clause_grid() -> dict[str, list]:
     """Verdict, node count and counterexample red mask of seeded clause-mode searches.
 

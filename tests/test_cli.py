@@ -86,6 +86,16 @@ def test_exit_code_max_r_below_one(capsys):
     assert err == "usage error: max_r must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_exit_code_not_found_within_max_r(capsys, json_flag):
+    # R(P3,P3) = 3, so no complete graph up to K2 arrows the pair
+    code, out, err = run_cli(capsys, "numbers", "--red", "P3", "--blue", "P3", "--max-r", "2",
+                             *json_flag)
+    assert code == 1
+    assert out == ""
+    assert err == "not found: no complete graph up to K_2 arrows (P3, P3)\n"
+
+
 def test_exit_code_dimacs_past_copy_cap(tmp_path, capsys, monkeypatch):
     # the real export at a small cap stands in for K30 -> (K10, K10) at the default cap
     monkeypatch.setattr(arrowing, "DEFAULT_COPY_CAP", 5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import random
@@ -28,6 +29,7 @@ from ramarrow.graphs import (
     Star,
     Union,
     graph6_encode,
+    longest_path_order,
     parse_spec,
     realize,
     stats,
@@ -120,6 +122,46 @@ def test_rooted_detector_against_brute_force_copies():
                     else:
                         mask = sum(1 << g.edge_index[min(x, y), max(x, y)] for x, y in copy)
                         assert mask in through, (g, target, a, b, copy)
+
+
+def test_path_detector_against_longest_path_dp():
+    # graphs.longest_path_order is a subset DP that shares no code with the
+    # path searches, so it checks the dead-end memo independently
+    rng = random.Random(20)
+    for _ in range(120):
+        g = oracles.random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
+        longest = longest_path_order(g)
+        for n in range(1, g.order + 2):
+            assert contains_target(g, Path(n)) == (longest >= n), (graph6_encode(g), n)
+
+
+@pytest.mark.parametrize("spec, longest", [
+    ("K8 u E3", 8), ("K4 u K4", 4), ("E3 u K4 u K1", 4),
+    # the star's component is large enough for P4 but holds none
+    ("K1+E8 u P4", 4),
+])
+def test_path_searches_skip_components_that_are_too_small(spec, longest):
+    g = realize(parse_spec(spec))
+    assert longest_path_order(g) == longest
+    for n in (longest, longest + 1):
+        rooted = [copy_through(g, Path(n), a, b) for u, v in g.edges for a, b in ((u, v), (v, u))]
+        assert contains_target(g, Path(n)) == (n == longest)
+        assert any(copy is not None for copy in rooted) == (n == longest)
+
+
+def test_rooted_path_copies_are_pinned():
+    # the rooted path search skips only walks that cannot succeed, so it must
+    # return this same first copy, edges in the same order, on every edge in
+    # both orientations; learned mode turns that copy into a clause
+    rng = random.Random(20)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        g = oracles.random_graph(rng, rng.randint(2, 11), rng.uniform(0.1, 0.9))
+        for n in range(3, 10):
+            for u, v in g.edges:
+                found = (copy_through(g, Path(n), u, v), copy_through(g, Path(n), v, u))
+                digest.update(repr(found).encode())
+    assert digest.hexdigest() == "4a87b2607f863eca131caf9e738d597bc228a9549eb0b9abc7c298db446cb3f4"
 
 
 def test_copy_through_rejects_a_non_edge():

@@ -18,6 +18,7 @@ from ramarrow.graphs import (
     SpecError,
     Star,
     Union,
+    component,
     graph6_decode,
     graph6_encode,
     longest_path_order,
@@ -272,6 +273,18 @@ def test_stats_examples():
     st = stats(realize(Minus(Complete(5), Path(5))))
     assert (st.min_degree, st.max_degree, st.is_connected, st.edge_count) == (2, 3, True, 6)
     assert not stats(realize(Union(Complete(3), Complete(3)))).is_connected
+
+
+def test_component_and_its_early_stop():
+    g = realize(parse_spec("P3 u K4 u E2"))  # vertices 0-2, 3-6, 7, 8
+    assert [component(g.adj, v) for v in (0, 2, 3, 6, 7)] == [0b111, 0b111, 0b1111000,
+                                                             0b1111000, 1 << 7]
+    path = realize(Path(10))
+    for enough in range(1, 12):
+        part = component(path.adj, 5, enough)
+        assert part >> 5 & 1 and part & (1 << 10) - 1 == part
+        assert part.bit_count() >= min(enough, 10)
+    assert component(path.adj, 5, 3) != (1 << 10) - 1
 
 
 def test_stats_bounds():
