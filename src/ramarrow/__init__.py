@@ -27,12 +27,14 @@ from .graphs import (
 )
 from .coloring import RED, BLUE, Coloring, monochromatic_subgraph, colored_degree
 from .containment import (
+    CopyCapError,
     Generic,
     TargetKind,
     target_from_spec,
     target_to_spec,
     contains_target,
     copy_through,
+    enumerate_copies,
     max_matching_size,
     max_clique_size,
 )
@@ -40,7 +42,6 @@ from .arrowing import (
     ArrowingResult,
     SearchStats,
     DeletionFamily,
-    CopyCapError,
     IndeterminateError,
     NotFoundWithinBoundError,
     arrows,
@@ -48,7 +49,6 @@ from .arrowing import (
     ramsey_number,
     critical_number,
     export_dimacs,
-    enumerate_copies,
     result_to_json,
 )
 from .formulas import (

@@ -4,10 +4,11 @@ Decides host -> (red, blue), lists every free coloring of a small host,
 computes Ramsey numbers and deletion-critical numbers, and exports the
 search space as DIMACS CNF.
 
-The engine is one generator, _free_colorings.  It enumerates every copy of
-each target inside the host as an edge bitmask, turns the copies into
-clauses ("some edge of a red copy must be blue" and vice versa), and runs
-an explicit-stack depth-first search over edge assignments with unit
+The engine is one generator, _free_colorings.  It takes every copy of
+each target inside the host, as an edge bitmask, from
+containment.enumerate_copies, turns the copies into clauses ("some edge
+of a red copy must be blue" and vice versa), and runs an explicit-stack
+depth-first search over edge assignments with unit
 propagation.  Each copy is one bit (a lane) of big ints: per host edge,
 the copies through it; per color, the copies still alive and the copies
 with one free edge left; and bit-sliced planes holding every alive copy's
@@ -22,36 +23,31 @@ new lane.  The generator yields the red edge mask of each complete free
 coloring it reaches; arrows takes the first (exhausting the space proves
 arrowing, and a coloring is re-verified before it is returned as a
 counterexample), and all_free_colorings takes them all.
+
+The search and export_dimacs call enumerate_copies through this module's
+name for it, so a wrapper set on arrowing.enumerate_copies sees each call.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 from . import formulas
 from .coloring import BLUE, RED, Coloring, monochromatic_subgraph
 from .containment import (
+    DEFAULT_COPY_CAP,
+    CopyCapError,
     TargetKind,
-    _embeddings,
-    _leaf,
-    _pattern,
-    _symmetry_breaking,
     contains_target,
     copy_through,
+    enumerate_copies,
+    target_graph,
     target_label,
     target_to_spec,
 )
-from .graphs import Book, Complete, Fan, Graph, Matching, Minus, Path, Star, realize
-
-DEFAULT_COPY_CAP = 2_000_000
-
-
-class CopyCapError(RuntimeError):
-    """Copy enumeration exceeded the configured cap."""
+from .graphs import Complete, Graph, Matching, Minus, Path, realize
 
 
 class IndeterminateError(RuntimeError):
@@ -109,173 +105,6 @@ class DeletionFamily(Enum):
     @property
     def index_unit(self) -> str:
         return "edges" if self is DeletionFamily.MATCHING else "vertices"
-
-
-# ---------------------------------------------------------------------------
-# Copy enumeration
-#
-# A copy is an int edge mask: bit i is set when host edge i (canonical
-# order) is in the copy.  bits[u][v] (Graph.edge_bits) is the mask of edge
-# uv, 0 for a non-edge, so each enumerator ORs a copy together as its DFS
-# goes.  Each enumerator emits each copy once, so there is no dedup set:
-# a clique in increasing vertex order, a path from its lower end, a star
-# from its one hub, a matching or fan's disjoint parts in increasing index
-# order, a book from its one spine, and a generic target's core through
-# the one embedding per copy that its symmetry-breaking bounds, one lower
-# bound per vertex, allow (containment._symmetry_breaking).  A target's
-# graph picks the enumerator, the first detected family it is a member of
-# (containment._leaf), so K1+P3 goes to the book's and Star(1) to the
-# clique's; Generic forces the walk.  On a complete host the copies of every
-# target are counted from |Aut| of its core, read off the same walk, before
-# any is built (_copies_in_complete), so a count past the cap raises at once.
-
-
-def _star_copies(bits, n: int, emit) -> None:
-    for spokes in bits:
-        leaves = [b for b in spokes if b]
-        if len(leaves) >= n:
-            for chosen in combinations(leaves, n):
-                emit(sum(chosen))
-
-
-def _clique_copies(adj, bits, m: int, emit, chosen: list[int], mask: int, cand: int) -> None:
-    """Emit every clique on m vertices that adds vertices of cand to chosen, in increasing order."""
-    last = len(chosen) + 1 == m
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        v = low.bit_length() - 1
-        row = bits[v]
-        grown = mask
-        for u in chosen:
-            grown |= row[u]
-        if last:
-            emit(grown)
-        else:
-            _clique_copies(adj, bits, m, emit, chosen + [v], grown, adj[v] & cand)
-
-
-def _path_copies_from(adj, bits, emit, v: int, visited: int, mask: int, left: int,
-                      above: int) -> None:
-    """Emit every path that goes on from v through `left` more vertices and ends in above."""
-    row = bits[v]
-    ext = adj[v] & ~visited
-    if left == 1:
-        ext &= above
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            emit(mask | row[low.bit_length() - 1])
-        return
-    while ext:
-        low = ext & -ext
-        ext ^= low
-        w = low.bit_length() - 1
-        _path_copies_from(adj, bits, emit, w, visited | low, mask | row[w], left - 1, above)
-
-
-def _disjoint_copies(items, k: int, emit, start: int = 0, used: int = 0, mask: int = 0) -> None:
-    """Emit the edge-mask union of every k (vertex mask, edge mask) items with disjoint vertices."""
-    for idx in range(start, len(items)):
-        verts, edges = items[idx]
-        if used & verts:
-            continue
-        if k == 1:
-            emit(mask | edges)
-        else:
-            _disjoint_copies(items, k - 1, emit, idx + 1, used | verts, mask | edges)
-
-
-def _book_copies(host: Graph, bits, m: int, emit) -> None:
-    adj = host.adj
-    for spine, (u, v) in enumerate(host.edges):
-        common = adj[u] & adj[v]
-        if common.bit_count() < m:
-            continue
-        ru, rv = bits[u], bits[v]
-        pages = [ru[w] | rv[w] for w in range(host.order) if common >> w & 1]
-        for chosen in combinations(pages, m):
-            emit(sum(chosen, 1 << spine))
-
-
-def _fan_copies(host: Graph, bits, n: int, emit) -> None:
-    for hub, spokes in enumerate(bits):
-        if host.adj[hub].bit_count() < 2 * n:
-            continue
-        # a blade is a triangle on the hub: (its two rim vertices, its three edges)
-        blades = [
-            (1 << a | 1 << b, bits[a][b] | spokes[a] | spokes[b])
-            for a, b in host.edges
-            if spokes[a] and spokes[b]
-        ]
-        _disjoint_copies(blades, n, emit)
-
-
-def _copies_in_complete(n: int, target: TargetKind) -> int:
-    """The copy count in K_n of a target with an edge and at most n vertices.
-
-    A copy is an edge set, the image of the target's core (the target
-    without its isolated vertices) on q vertices.  The injective maps of
-    the core into K_n number perm(n, q), and each copy is the image of
-    |Aut(core)| of them, the product of the orbit sizes along the
-    symmetry-breaking walk.
-    """
-    core, _, aut = _symmetry_breaking(_pattern(target))
-    return math.perm(n, core.order) // aut
-
-
-def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CAP) -> list[int]:
-    """All distinct host subgraphs isomorphic to the target, as edge bitmasks.
-
-    Bit i of a copy is set when host edge i (canonical order) is in it; an
-    edgeless target has the single copy 0.  Deterministic: the result is
-    sorted.  Raises CopyCapError past the cap.  On a complete host every
-    target's copies are counted first, so there it raises before
-    enumerating anything.
-    """
-    pattern = _pattern(target)
-    n, p, k = host.order, pattern.order, pattern.edge_count
-    if p > n:
-        return []
-    if k == 0:
-        # an edgeless target sits inside every coloring of a large-enough host
-        return [0]
-    if host.edge_count == n * (n - 1) // 2 and _copies_in_complete(n, target) > cap:
-        raise CopyCapError(f"more than {cap} target copies in the host")
-    adj, bits = host.adj, host.edge_bits
-    copies: list[int] = []
-
-    def emit(mask: int) -> None:
-        copies.append(mask)
-        if len(copies) > cap:
-            raise CopyCapError(f"more than {cap} target copies in the host")
-
-    leaf = _leaf(target)
-    if isinstance(leaf, Complete):
-        _clique_copies(adj, bits, leaf.n, emit, [], 0, (1 << n) - 1)
-    elif isinstance(leaf, Star):
-        _star_copies(bits, leaf.n, emit)
-    elif isinstance(leaf, Path):
-        # a path is emitted from its lower end only
-        for start in range(n):
-            _path_copies_from(adj, bits, emit, start, 1 << start, 0, leaf.n - 1, -(2 << start))
-    elif isinstance(leaf, Matching):
-        _disjoint_copies([(1 << u | 1 << v, 1 << i) for i, (u, v) in enumerate(host.edges)],
-                         leaf.m, emit)
-    elif isinstance(leaf, Book):
-        _book_copies(host, bits, leaf.m, emit)
-    elif isinstance(leaf, Fan):
-        _fan_copies(host, bits, leaf.n, emit)
-    else:
-        core, lower, _ = _symmetry_breaking(pattern)
-        pedges = core.edges
-        for emb in _embeddings(host, core, lower=lower):
-            mask = 0
-            for a, b in pedges:
-                mask |= bits[emb[a]][emb[b]]
-            emit(mask)
-    copies.sort()
-    return copies
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +218,7 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
         copies = None
     sizes = []
     for t in targets:
-        p = _pattern(t)
+        p = target_graph(t)
         k = p.edge_count
         # an edgeless target that fits is in every color class, so no coloring is free
         if not k and p.order <= n:

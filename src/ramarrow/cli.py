@@ -1,7 +1,8 @@
 """Command-line surface: arrowing queries, number computation, verification.
 
 Exit codes are a stable scripting contract: 0 pass/arrows, 1
-counterexample/fail, 2 indeterminate, 3 usage error, 4 internal error.
+counterexample/fail, 2 indeterminate (node budget or --max-r exhausted),
+3 usage error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -288,8 +289,9 @@ def main(argv=None) -> int:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except NotFoundWithinBoundError as exc:
+        # no verdict within the given bound, like an exhausted node budget
         print(f"not found: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return EXIT_INDETERMINATE
     except Exception as exc:
         # a fault of ramarrow itself, kept apart from exit 1 (counterexample or failed check)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

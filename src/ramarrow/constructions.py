@@ -51,13 +51,7 @@ def block_coloring_witness(G: GraphSpec, H: GraphSpec, r: int) -> WitnessReport:
     block can hold the connected dominating-vertex graph G, and the blue
     side is chi(H)-partite with surplus s-1, so it has no H.
     """
-    bound = formulas.path_critical_upper_bound(G, H, r)  # validates hypotheses
-    g = realize(G)
-    h = realize(H)
-    data = formulas.chromatic_data(h)
-    k, s = data.chi, data.surplus
-    n = g.order
-    t = r - (k - 1) * (n - 1) - s + 1
+    k, s, n, t = formulas.path_critical_parameters(G, H, r)  # validates hypotheses
     host_spec = Minus(Complete(r), Path(t * n))
     host = realize(host_spec)
 
@@ -69,7 +63,6 @@ def block_coloring_witness(G: GraphSpec, H: GraphSpec, r: int) -> WitnessReport:
     for b, size in enumerate(sizes):
         block.extend([b] * size)
     coloring = check_free(_block_coloring(host, block), G, H)
-    assert bound == t * n - 1
     return WitnessReport(
         coloring=coloring,
         host_spec=host_spec,
@@ -210,15 +203,7 @@ def canonical_coloring_key(coloring: Coloring) -> tuple[int, ...]:
     """
     host = coloring.host
     n = host.order
-    edges = host.edges
-    red = [0] * n
-    mask = coloring.red
-    while mask:
-        low = mask & -mask
-        u, v = edges[low.bit_length() - 1]
-        red[u] |= 1 << v
-        red[v] |= 1 << u
-        mask ^= low
+    red = monochromatic_subgraph(coloring, RED).adj
     # vertices are single bits from here on: rows[1 << v] = (red row, blue row)
     rows = {1 << v: (r, adj & ~r) for v, (r, adj) in enumerate(zip(red, host.adj))}
     shift = n + 1

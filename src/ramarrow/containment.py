@@ -1,25 +1,29 @@
-"""Non-induced subgraph containment with fast per-family detectors.
+"""Non-induced subgraph containment: is there a copy, one copy through an edge, every copy.
 
-Targets are plain graph expressions.  Every predicate answers "does the
-graph contain a copy of the target", never induced containment.  The leaf
-families the searches use (Complete, Star, Path, Matching, Book, Fan)
-have specialized detectors, which serve every target whose graph is a
-member, however it is spelled (_leaf: K1+P3 is B2).  Any other target,
-and any wrapped in Generic, falls back to backtracking subgraph
-isomorphism with degree pruning, one explicit-stack loop over the
-pattern's vertices.  The same loop lists a generic target's copies for
-arrowing.enumerate_copies, each copy once and with no dedup set:
-_symmetry_breaking gives each pattern vertex at most one lower bound, and
-those let through one of the embeddings that make each copy.  The walk
-that finds the bounds reads off |Aut|, which counts a target's copies in
-a complete host.
+Targets are plain graph expressions, and a copy need not be induced.
+contains_target, copy_through (the edges of one copy that uses edge uv)
+and enumerate_copies all serve a target by its leaf (_leaf): a member of
+a detected family (Complete, Star, Path, Matching, Book, Fan) serves
+itself, any other spec the first member, Complete first, isomorphic to it
+(K1+P3 is B2), and a Generic target has none.  Each family has its own
+code for each query; a target with no leaf falls back to backtracking
+subgraph isomorphism with degree pruning, one explicit-stack loop over
+the pattern's vertices.  The arrowing search asks copy_through only after
+coloring uv when it learns its copy clauses, since a color class with no
+copy can only gain one through its new edge.
 
-copy_through answers the rooted question "is there a copy that uses edge
-uv" with the edges of one such copy: the witness of a detected family's
-rooted detector, or a generic search with one pattern edge pinned on uv.
-The search asks only that after coloring uv when it learns its copy
-clauses, since a color class that had no copy before can only gain one
-through its new edge.
+enumerate_copies gives each copy as an int edge mask, bit i set when host
+edge i (canonical order) is in it.  Each enumerator ORs a copy together
+from Graph.edge_bits as its DFS goes and emits each copy once, so there is
+no dedup set: a clique in increasing vertex order, a path from its lower
+end, a star from its one hub, a matching or fan's disjoint parts in
+increasing index order, a book from its one spine.  A complete leaf is
+listed as a clique, since S1, B1 and F1 have more than one hub or spine.
+A generic target's core is listed through the one embedding per copy that
+its symmetry-breaking bounds, at most one lower bound per pattern vertex,
+let through (_symmetry_breaking).  The walk that finds the bounds reads
+off |Aut| of the core, which counts the copies in a complete host before
+any is built, so a count past the cap raises at once.
 
 Both path searches skip a connected component with fewer vertices than
 the path.  The existence check also remembers, for one call, the dead
@@ -32,6 +36,7 @@ saves on the small color classes that search mostly sees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
@@ -49,12 +54,18 @@ class Generic:
 
 TargetKind = GraphSpec | Generic
 
-_DETECTED = (Complete, Star, Path, Matching, Book, Fan)
+DETECTED_FAMILIES = (Complete, Star, Path, Matching, Book, Fan)
+
+DEFAULT_COPY_CAP = 2_000_000
+
+
+class CopyCapError(RuntimeError):
+    """Copy enumeration exceeded the configured cap."""
 
 
 def target_from_spec(spec: GraphSpec) -> TargetKind:
-    """A detected leaf as it is, any other expression as the leaf its graph is, else Generic."""
-    return spec if isinstance(spec, _DETECTED) else _leaf(spec) or Generic(spec)
+    """The spec's leaf, or the spec wrapped in Generic when it has none."""
+    return _leaf(spec) or Generic(spec)
 
 
 def target_to_spec(target: TargetKind) -> GraphSpec:
@@ -66,7 +77,7 @@ def target_label(target: TargetKind) -> str:
 
 
 @lru_cache(maxsize=256)
-def _pattern(target: TargetKind) -> Graph:
+def target_graph(target: TargetKind) -> Graph:
     """The target realized as a graph, once per target (both are immutable)."""
     return realize(target_to_spec(target))
 
@@ -392,38 +403,45 @@ def family_parameter(spec: GraphSpec, family: type) -> int | None:
     k = next((k for k in range(1, p + 1) if graphs.spec_order(family(k)) == p), None)
     if k is None:
         return None
-    graph, member = _pattern(spec), realize(family(k))
+    graph, member = target_graph(spec), realize(family(k))
     same = sorted(map(int.bit_count, graph.adj)) == sorted(map(int.bit_count, member.adj))
     return k if same and _subgraph_exists(graph, member) else None
 
 
-@lru_cache(maxsize=256)
 def _leaf(target: TargetKind) -> GraphSpec | None:
-    """The first detected family member (Complete first) isomorphic to the target; None for Generic."""
-    if isinstance(target, Generic):
-        return None
-    return next((family(k) for family in _DETECTED
-                 if (k := family_parameter(target, family)) is not None), None)
+    """The detected family member that serves the target, or None.
+
+    A member serves itself; any other spec is served by the first member
+    (Complete first) isomorphic to it, and a Generic target by none.
+    """
+    if isinstance(target, DETECTED_FAMILIES):
+        return target
+    return None if isinstance(target, Generic) else _first_member(target)
+
+
+@lru_cache(maxsize=256)
+def _first_member(spec: GraphSpec) -> GraphSpec | None:
+    return next((family(k) for family in DETECTED_FAMILIES
+                 if (k := family_parameter(spec, family)) is not None), None)
 
 
 def contains_target(g: Graph, target: TargetKind) -> bool:
     """True iff g has a (not necessarily induced) copy of the target."""
-    if isinstance(target, Complete):
-        return _has_clique(g, target.n)
-    if isinstance(target, Star):
-        return max(row.bit_count() for row in g.adj) >= target.n
-    if isinstance(target, Path):
-        return _has_path(g, target.n)
-    if isinstance(target, Matching):
-        return _has_matching(g, target.m)
-    if isinstance(target, Book):
-        adj = g.adj
-        return any((adj[u] & adj[v]).bit_count() >= target.m for u, v in g.edges)
-    if isinstance(target, Fan):
-        adj = g.adj
-        return any(_matching_within(adj, row, target.n) is not None for row in adj)
     leaf = _leaf(target)
-    return _subgraph_exists(g, _pattern(target)) if leaf is None else contains_target(g, leaf)
+    if leaf is None:
+        return _subgraph_exists(g, target_graph(target))
+    if isinstance(leaf, Complete):
+        return _has_clique(g, leaf.n)
+    if isinstance(leaf, Star):
+        return max(row.bit_count() for row in g.adj) >= leaf.n
+    if isinstance(leaf, Path):
+        return _has_path(g, leaf.n)
+    if isinstance(leaf, Matching):
+        return _has_matching(g, leaf.m)
+    adj = g.adj
+    if isinstance(leaf, Book):
+        return any((adj[u] & adj[v]).bit_count() >= leaf.m for u, v in g.edges)
+    return any(_matching_within(adj, row, leaf.n) is not None for row in adj)  # a fan
 
 
 def _vertices(mask: int) -> list[int]:
@@ -440,24 +458,36 @@ def copy_through(g: Graph, target: TargetKind, u: int, v: int) -> list[tuple[int
     adj = g.adj
     if not (0 <= u < g.order and 0 <= v and adj[u] >> v & 1):
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    if isinstance(target, Complete):
-        rest = _clique_within(adj, adj[u] & adj[v], target.n - 2) if target.n >= 2 else None
+    leaf = _leaf(target)
+    if leaf is None:
+        # some pattern edge ab lands on uv, in either orientation, on endpoints of enough degree
+        pattern = target_graph(target)
+        pdeg = [row.bit_count() for row in pattern.adj]
+        fewer, more = sorted((adj[u].bit_count(), adj[v].bit_count()))
+        ends = 1 << u | 1 << v
+        for a, b in pattern.edges:
+            if min(pdeg[a], pdeg[b]) <= fewer and max(pdeg[a], pdeg[b]) <= more:
+                for emb in _embeddings(g, pattern, ((a, ends), (b, ends))):
+                    return [(emb[x], emb[y]) for x, y in pattern.edges]
+        return None
+    if isinstance(leaf, Complete):
+        rest = _clique_within(adj, adj[u] & adj[v], leaf.n - 2) if leaf.n >= 2 else None
         return None if rest is None else list(combinations([u, v] + _vertices(rest), 2))
-    if isinstance(target, Star):
-        for hub, leaf in ((u, v), (v, u)):
-            if adj[hub].bit_count() >= target.n:
-                leaves = [leaf] + _vertices(adj[hub] & ~(1 << leaf))[: target.n - 1]
+    if isinstance(leaf, Star):
+        for hub, end in ((u, v), (v, u)):
+            if adj[hub].bit_count() >= leaf.n:
+                leaves = [end] + _vertices(adj[hub] & ~(1 << end))[: leaf.n - 1]
                 return [(hub, w) for w in leaves]
         return None
-    if isinstance(target, Path):
-        return _path_through(adj, u, v, target.n) if target.n >= 2 else None
-    if isinstance(target, Matching):
-        rest = _matching_within(adj, ((1 << g.order) - 1) & ~(1 << u | 1 << v), target.m - 1)
+    if isinstance(leaf, Path):
+        return _path_through(adj, u, v, leaf.n) if leaf.n >= 2 else None
+    if isinstance(leaf, Matching):
+        rest = _matching_within(adj, ((1 << g.order) - 1) & ~(1 << u | 1 << v), leaf.m - 1)
         return None if rest is None else rest + [(u, v)]
     common = adj[u] & adj[v]
-    if isinstance(target, Book):
+    if isinstance(leaf, Book):
         # uv is the spine, or a page edge on the spine aw with page b
-        m = target.m
+        m = leaf.m
         if common.bit_count() >= m:
             return [(u, v)] + [(x, w) for w in _vertices(common)[:m] for x in (u, v)]
         for a, b in ((u, v), (v, u)):
@@ -466,25 +496,164 @@ def copy_through(g: Graph, target: TargetKind, u: int, v: int) -> list[tuple[int
                 if len(pages) == m:
                     return [(a, w)] + [(x, p) for p in pages for x in (a, w)]
         return None
-    if isinstance(target, Fan):
-        # a blade through uv: hub u or v with a spoke on uv, or a hub w on rim uv;
-        # the other blades are a matching among the hub's remaining neighbors
-        for w in _vertices(common):
-            for hub, a, b in ((u, v, w), (v, u, w), (w, u, v)):
-                rims = _matching_within(adj, adj[hub] & ~(1 << a | 1 << b), target.n - 1)
-                if rims is not None:
-                    return [e for x, y in rims + [(a, b)] for e in ((hub, x), (hub, y), (x, y))]
-        return None
-    leaf = _leaf(target)
-    if leaf is not None:
-        return copy_through(g, leaf, u, v)
-    # some pattern edge ab lands on uv, in either orientation, on endpoints of enough degree
-    pattern = _pattern(target)
-    pdeg = [row.bit_count() for row in pattern.adj]
-    fewer, more = sorted((adj[u].bit_count(), adj[v].bit_count()))
-    ends = 1 << u | 1 << v
-    for a, b in pattern.edges:
-        if min(pdeg[a], pdeg[b]) <= fewer and max(pdeg[a], pdeg[b]) <= more:
-            for emb in _embeddings(g, pattern, ((a, ends), (b, ends))):
-                return [(emb[x], emb[y]) for x, y in pattern.edges]
+    # a fan: a blade through uv, hub u or v with a spoke on uv, or a hub w on
+    # rim uv; the other blades are a matching among the hub's remaining neighbors
+    for w in _vertices(common):
+        for hub, a, b in ((u, v, w), (v, u, w), (w, u, v)):
+            rims = _matching_within(adj, adj[hub] & ~(1 << a | 1 << b), leaf.n - 1)
+            if rims is not None:
+                return [e for x, y in rims + [(a, b)] for e in ((hub, x), (hub, y), (x, y))]
     return None
+
+
+# ---------------------------------------------------------------------------
+# Copy enumeration
+
+
+def _star_copies(bits, n: int, emit) -> None:
+    for spokes in bits:
+        leaves = [b for b in spokes if b]
+        if len(leaves) >= n:
+            for chosen in combinations(leaves, n):
+                emit(sum(chosen))
+
+
+def _clique_copies(adj, bits, m: int, emit, chosen: list[int], mask: int, cand: int) -> None:
+    """Emit every clique on m vertices that adds vertices of cand to chosen, in increasing order."""
+    last = len(chosen) + 1 == m
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        row = bits[v]
+        grown = mask
+        for u in chosen:
+            grown |= row[u]
+        if last:
+            emit(grown)
+        else:
+            _clique_copies(adj, bits, m, emit, chosen + [v], grown, adj[v] & cand)
+
+
+def _path_copies_from(adj, bits, emit, v: int, visited: int, mask: int, left: int,
+                      above: int) -> None:
+    """Emit every path that goes on from v through `left` more vertices and ends in above."""
+    row = bits[v]
+    ext = adj[v] & ~visited
+    if left == 1:
+        ext &= above
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            emit(mask | row[low.bit_length() - 1])
+        return
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        w = low.bit_length() - 1
+        _path_copies_from(adj, bits, emit, w, visited | low, mask | row[w], left - 1, above)
+
+
+def _disjoint_copies(items, k: int, emit, start: int = 0, used: int = 0, mask: int = 0) -> None:
+    """Emit the edge-mask union of every k (vertex mask, edge mask) items with disjoint vertices."""
+    for idx in range(start, len(items)):
+        verts, edges = items[idx]
+        if used & verts:
+            continue
+        if k == 1:
+            emit(mask | edges)
+        else:
+            _disjoint_copies(items, k - 1, emit, idx + 1, used | verts, mask | edges)
+
+
+def _book_copies(host: Graph, bits, m: int, emit) -> None:
+    adj = host.adj
+    for spine, (u, v) in enumerate(host.edges):
+        common = adj[u] & adj[v]
+        if common.bit_count() < m:
+            continue
+        ru, rv = bits[u], bits[v]
+        pages = [ru[w] | rv[w] for w in range(host.order) if common >> w & 1]
+        for chosen in combinations(pages, m):
+            emit(sum(chosen, 1 << spine))
+
+
+def _fan_copies(host: Graph, bits, n: int, emit) -> None:
+    for hub, spokes in enumerate(bits):
+        if host.adj[hub].bit_count() < 2 * n:
+            continue
+        # a blade is a triangle on the hub: (its two rim vertices, its three edges)
+        blades = [
+            (1 << a | 1 << b, bits[a][b] | spokes[a] | spokes[b])
+            for a, b in host.edges
+            if spokes[a] and spokes[b]
+        ]
+        _disjoint_copies(blades, n, emit)
+
+
+def _copies_in_complete(n: int, target: TargetKind) -> int:
+    """The copy count in K_n of a target with an edge and at most n vertices.
+
+    A copy is an edge set, the image of the target's core (the target
+    without its isolated vertices) on q vertices.  The injective maps of
+    the core into K_n number perm(n, q), and each copy is the image of
+    |Aut(core)| of them, the product of the orbit sizes along the
+    symmetry-breaking walk.
+    """
+    core, _, aut = _symmetry_breaking(target_graph(target))
+    return math.perm(n, core.order) // aut
+
+
+def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CAP) -> list[int]:
+    """All distinct host subgraphs isomorphic to the target, as edge bitmasks.
+
+    Bit i of a copy is set when host edge i (canonical order) is in it; an
+    edgeless target has the single copy 0.  Deterministic: the result is
+    sorted.  Raises CopyCapError past the cap.  On a complete host every
+    target's copies are counted first, so there it raises before
+    enumerating anything.
+    """
+    pattern = target_graph(target)
+    n, p, k = host.order, pattern.order, pattern.edge_count
+    if p > n:
+        return []
+    if k == 0:
+        # an edgeless target sits inside every coloring of a large-enough host
+        return [0]
+    if host.edge_count == n * (n - 1) // 2 and _copies_in_complete(n, target) > cap:
+        raise CopyCapError(f"more than {cap} target copies in the host")
+    adj, bits = host.adj, host.edge_bits
+    copies: list[int] = []
+
+    def emit(mask: int) -> None:
+        copies.append(mask)
+        if len(copies) > cap:
+            raise CopyCapError(f"more than {cap} target copies in the host")
+
+    leaf = _leaf(target)
+    if leaf is None:
+        core, lower, _ = _symmetry_breaking(pattern)
+        pedges = core.edges
+        for emb in _embeddings(host, core, lower=lower):
+            mask = 0
+            for a, b in pedges:
+                mask |= bits[emb[a]][emb[b]]
+            emit(mask)
+    elif k == p * (p - 1) // 2:
+        # as a clique, also S1, B1 and F1, which have more than one hub or spine
+        _clique_copies(adj, bits, p, emit, [], 0, (1 << n) - 1)
+    elif isinstance(leaf, Star):
+        _star_copies(bits, leaf.n, emit)
+    elif isinstance(leaf, Path):
+        # a path is emitted from its lower end only
+        for start in range(n):
+            _path_copies_from(adj, bits, emit, start, 1 << start, 0, leaf.n - 1, -(2 << start))
+    elif isinstance(leaf, Matching):
+        _disjoint_copies([(1 << u | 1 << v, 1 << i) for i, (u, v) in enumerate(host.edges)],
+                         leaf.m, emit)
+    elif isinstance(leaf, Book):
+        _book_copies(host, bits, leaf.m, emit)
+    else:
+        _fan_copies(host, bits, leaf.n, emit)
+    copies.sort()
+    return copies

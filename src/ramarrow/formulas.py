@@ -128,20 +128,21 @@ def is_ramsey_good(G: GraphSpec, H: GraphSpec, ramsey_value: int) -> bool:
     return ramsey_value == burr_bound(G, H)
 
 
-def path_critical_upper_bound(G: GraphSpec, H: GraphSpec, r: int) -> int:
-    """Upper bound t*n-1 on the path-critical number, t = r-(chi-1)(n-1)-s+1.
+def path_critical_parameters(G: GraphSpec, H: GraphSpec, r: int) -> tuple[int, int, int, int]:
+    """(chi(H), s(H), n, t) for the path-critical upper bound, t = r-(chi-1)(n-1)-s+1.
 
     Hypotheses: G connected of order n with a dominating vertex, n >= s(H),
-    and r <= (chi(H)-1)n + s(H) - 1.
+    and r <= (chi(H)-1)n + s(H) - 1; HypothesisError names the one that fails.
     """
     g = realize(G)
     h = realize(H)
     n = g.order
-    if not stats(g).is_connected:
+    g_stats = stats(g)
+    if not g_stats.is_connected:
         raise HypothesisError("upper bound requires G connected")
-    if stats(g).max_degree != n - 1:
+    if g_stats.max_degree != n - 1:
         raise HypothesisError(
-            f"upper bound requires max degree n-1={n - 1}, got {stats(g).max_degree}"
+            f"upper bound requires max degree n-1={n - 1}, got {g_stats.max_degree}"
         )
     data = chromatic_data(h)
     if n < data.surplus:
@@ -152,6 +153,12 @@ def path_critical_upper_bound(G: GraphSpec, H: GraphSpec, r: int) -> int:
     t = r - (data.chi - 1) * (n - 1) - data.surplus + 1
     if t < 1:
         raise HypothesisError(f"r={r} lies below the Burr lower bound")
+    return data.chi, data.surplus, n, t
+
+
+def path_critical_upper_bound(G: GraphSpec, H: GraphSpec, r: int) -> int:
+    """Upper bound t*n-1 on the path-critical number, under path_critical_parameters' hypotheses."""
+    _, _, n, t = path_critical_parameters(G, H, r)
     return t * n - 1
 
 

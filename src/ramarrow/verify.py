@@ -28,7 +28,7 @@ from .constructions import (
     enumerate_free_colorings,
     odd_clique_pair,
 )
-from .containment import _DETECTED, Generic, contains_target
+from .containment import DETECTED_FAMILIES, Generic, contains_target
 from .formulas import burr_bound, closed_form_path_critical, compare_with_catalog, known_ramsey
 from .graphs import (
     Book,
@@ -189,7 +189,7 @@ def _check_burr_goodness(budget):
 # --- property suites -------------------------------------------------------
 
 
-_DETECTOR_TARGETS = [factory(k) for factory in _DETECTED for k in (1, 2, 3, 4)]
+_DETECTOR_TARGETS = [factory(k) for factory in DETECTED_FAMILIES for k in (1, 2, 3, 4)]
 
 
 def detector_generic_disagreements(cases: int, seed: int = 2024) -> int:

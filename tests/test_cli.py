@@ -91,7 +91,7 @@ def test_exit_code_not_found_within_max_r(capsys, json_flag):
     # R(P3,P3) = 3, so no complete graph up to K2 arrows the pair
     code, out, err = run_cli(capsys, "numbers", "--red", "P3", "--blue", "P3", "--max-r", "2",
                              *json_flag)
-    assert code == 1
+    assert code == 2  # no verdict within the bound
     assert out == ""
     assert err == "not found: no complete graph up to K_2 arrows (P3, P3)\n"
 

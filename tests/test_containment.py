@@ -7,11 +7,12 @@ from itertools import permutations
 import pytest
 
 from ramarrow import containment, oracles
-from ramarrow.arrowing import arrows, enumerate_copies
+from ramarrow.arrowing import arrows
 from ramarrow.containment import (
     Generic,
     contains_target,
     copy_through,
+    enumerate_copies,
     max_clique_size,
     max_matching_size,
     target_from_spec,
@@ -188,8 +189,9 @@ def test_detected_families_never_use_the_generic_search(monkeypatch):
     # cached, and a target's family is read off its pattern by one cached
     # isomorphism check: warm both first, since neither is a search of a host
     targets = [t for _, *pair in runs for t in pair] + [t for pair in respelled for t in pair]
-    for target in targets + [Star(2)]:
-        containment._symmetry_breaking(containment._pattern(target))
+    k3_k2 = Generic(parse_spec("K3 u K2"))
+    for target in targets + [Star(2), k3_k2]:
+        containment._symmetry_breaking(containment.target_graph(target))
         containment._leaf(target)
     monkeypatch.setattr(containment, "_embeddings", refuse)
     g = realize(Complete(7))
@@ -212,6 +214,9 @@ def test_detected_families_never_use_the_generic_search(monkeypatch):
         assert spelled.stats.propagation_mode == named.stats.propagation_mode == "learned"
         assert (spelled.verdict, spelled.counterexample, spelled.stats.nodes) == (
             named.verdict, named.counterexample, named.stats.nodes), spec
+    # the guard sees copy enumeration too: a generic target's copies take the walk
+    with pytest.raises(AssertionError, match="generic embedding search called"):
+        enumerate_copies(host, k3_k2)
 
 
 def test_recognizer_turns_other_degrees_down_without_a_search(monkeypatch):
