@@ -166,8 +166,7 @@ def _branch_order(host: Graph, deterministic: bool) -> list[int]:
     return sorted(range(len(edges)), key=key.__getitem__)
 
 
-def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
-                    copy_cap=DEFAULT_COPY_CAP):
+def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, copy_cap=None):
     """Yield each free coloring of the host as its red edge mask, in DFS order.
 
     An explicit-stack DFS over the edges in branch order, with unit
@@ -193,7 +192,8 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
     starts from can already be colored.  A step builds a new state, so
     backtracking restores a saved one.
 
-    When either target has more than copy_cap copies, both sides learn
+    When either target has more than copy_cap copies (DEFAULT_COPY_CAP,
+    read at call time, when it is None), both sides learn
     their clauses instead: every state the search reaches has no
     monochromatic copy, so coloring e with c (by a decision or by
     propagation) asks copy_through for a copy through e in the grown class.
@@ -211,8 +211,9 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
     m = len(edges)
     bit = [1 << e for e in range(m)]
     targets = (red, blue)
+    cap = DEFAULT_COPY_CAP if copy_cap is None else copy_cap
     try:
-        copies = [enumerate_copies(host, t, copy_cap) for t in targets]
+        copies = [enumerate_copies(host, t, cap) for t in targets]
     except CopyCapError:
         stats.propagation_mode = "learned"
         copies = None
@@ -227,7 +228,7 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
     learning = copies is None
     if learning:
         copies = [[], []]
-        index = host.edge_index
+        edge_bits = host.edge_bits
     lanes = [_lanes(cps, k, m) for cps, k in zip(copies, sizes)]
     learned = []  # (color, lane) of each learned copy, in the order learned
 
@@ -240,9 +241,9 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
         lane = 1 << j
         mask = 0
         for a, b in copy:
-            i = index[(a, b) if a < b else (b, a)]
-            mask |= bit[i]
-            lanes[c][i] |= lane
+            edge = edge_bits[a][b]
+            mask |= edge
+            lanes[c][edge.bit_length() - 1] |= lane
         copies[c].append(mask)
         learned.append((c, j))
         return True
@@ -416,7 +417,7 @@ def arrows(
     *,
     budget: int | None = None,
     deterministic: bool = False,
-    copy_cap: int = DEFAULT_COPY_CAP,
+    copy_cap: int | None = None,
 ) -> ArrowingResult:
     """Decide host -> (red, blue).
 
@@ -425,7 +426,8 @@ def arrows(
     counterexample is a complete free coloring, re-verified by containment
     before it is returned.  In deterministic mode the counterexample is the
     lexicographically least free assignment in canonical edge order (red
-    below blue).
+    below blue).  A copy_cap of None stands for DEFAULT_COPY_CAP as it is
+    at call time.
     """
     t0 = time.perf_counter()
     stats = SearchStats()
@@ -477,7 +479,7 @@ def ramsey_number(
     start = 1
     try:
         start = max(start, formulas.burr_bound(target_to_spec(red), target_to_spec(blue)))
-    except (formulas.HypothesisError, ValueError):
+    except ValueError:  # formulas.HypothesisError included
         pass
     for r in range(start, max_r + 1):
         result = arrows(
@@ -566,7 +568,7 @@ def export_dimacs(host: Graph, red: TargetKind, blue: TargetKind) -> str:
         f"c blue target {target_label(blue)}: {len(blue_copies)} copies, clauses all-positive",
         "c positive literal = red edge",
     ]
-    for (u, v), idx in host.edge_index.items():
+    for idx, (u, v) in enumerate(host.edges):
         lines.append(f"c edge {u} {v} var {idx + 1}")
     lines.append(f"p cnf {host.edge_count} {len(red_copies) + len(blue_copies)}")
     for sign, copies in ((-1, red_copies), (1, blue_copies)):

@@ -58,11 +58,6 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--budget", type=int, default=None, help="node budget for the search")
-        p.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="canonical-order search; counterexamples are lexicographically least",
-        )
         p.add_argument("--json", action="store_true", help="print the report as JSON")
 
     p_arrows = sub.add_parser("arrows", help="decide host -> (red, blue)")
@@ -84,6 +79,10 @@ def _build_parser() -> _Parser:
     )
     p_numbers.add_argument("--max-r", type=int, default=17, help="largest host to try")
     common(p_numbers)
+    # not verify-paper: its checks fix their own search order
+    for p in (p_arrows, p_numbers):
+        p.add_argument("--deterministic", action="store_true",
+                       help="canonical-order search; counterexamples are lexicographically least")
 
     p_verify = sub.add_parser("verify-paper", help="run the reproduction suite")
     p_verify.add_argument("--level", choices=["quick", "full"], default="quick")

@@ -38,18 +38,19 @@ class Coloring:
     @classmethod
     def from_edge_triples(cls, host: Graph, triples) -> "Coloring":
         """Inverse of edge_triples: every host edge must appear exactly once."""
-        seen = red = 0
+        n, seen, red = host.order, 0, 0
         for u, v, letter in triples:
-            i = host.edge_index.get((u, v) if u < v else (v, u))
-            if i is None:
+            # range first: a negative index would wrap round
+            edge = host.edge_bits[u][v] if 0 <= u < n and 0 <= v < n else 0
+            if not edge:
                 raise ValueError(f"({u},{v}) is not an edge of the host")
             if letter not in ("R", "B"):
                 raise ValueError(f"invalid color letter {letter!r}")
-            if seen >> i & 1:
+            if seen & edge:
                 raise ValueError(f"edge ({u},{v}) is colored twice")
-            seen |= 1 << i
+            seen |= edge
             if letter == "R":
-                red |= 1 << i
+                red |= edge
         missing = host.edge_count - seen.bit_count()
         if missing:
             raise ValueError(f"{missing} host edges have no color")

@@ -23,6 +23,7 @@ from .graphs import (
     graph6_encode,
     realize,
     spec_to_text,
+    twin_classes,
 )
 
 
@@ -94,25 +95,15 @@ def odd_clique_pair(n: int, i: int) -> Coloring:
 
 
 def _twin_transpositions(host: Graph) -> list[tuple[int, int]]:
-    """The pairs (a, b) of consecutive members of each twin class, a < b.
+    """The pairs (a, b), a < b, of consecutive members of each class of graphs.twin_classes.
 
-    Vertices u and v are twins when adj[u] - {v} == adj[v] - {u}: true
-    twins when adjacent, false twins when not.  A vertex cannot have twins
-    of both kinds, so the relation is an equivalence, and swapping two twins
-    maps host edges onto host edges.  The transpositions of consecutive
-    members generate every permutation of a class.
+    They generate every permutation of a class, each a host automorphism.
     """
-    adj = host.adj
-    last: dict[int, int] = {}  # first member of a class -> its latest member so far
     pairs = []
-    for v in range(host.order):
-        for u in range(v):
-            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                pairs.append((last[u], v))
-                last[u] = v
-                break
-        else:
-            last[v] = v
+    for v, twins in enumerate(twin_classes(host.adj)):
+        below = twins & ((1 << v) - 1)
+        if below:
+            pairs.append((below.bit_length() - 1, v))
     return pairs
 
 
@@ -124,14 +115,13 @@ def _twin_swaps(host: Graph) -> list[tuple[tuple[int, int], ...]]:
     mask of the lower indices, and the image of a mask x is the delta swap
     t = (x >> d ^ x) & low; x ^= t | t << d over the pairs.
     """
-    index = host.edge_index
+    bits = host.edge_bits
     swaps = []
     for a, b in _twin_transpositions(host):
         sigma = {a: b, b: a}
         groups: dict[int, int] = {}
         for i, (x, y) in enumerate(host.edges):
-            x, y = sigma.get(x, x), sigma.get(y, y)
-            d = index[(x, y) if x < y else (y, x)] - i
+            d = bits[sigma.get(x, x)][sigma.get(y, y)].bit_length() - 1 - i
             if d > 0:
                 groups[d] = groups.get(d, 0) | 1 << i
         swaps.append(tuple(groups.items()))

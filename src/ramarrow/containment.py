@@ -364,13 +364,13 @@ def _symmetry_breaking(pattern: Graph) -> tuple[Graph, tuple[int, ...], int]:
     lower = [-1] * core.order
     adj = core.adj
     degree = [row.bit_count() for row in adj]
+    classes = graphs.twin_classes(adj)
     aut = 1
     fixed = ()
     for k, v in enumerate(order):
-        # a twin of v (the same neighbors, v and itself aside) is in v's orbit
-        # with no query: swapping the two fixes every other vertex
-        twins = {j for j in range(k + 1, len(order))
-                 if adj[v] & ~(1 << order[j]) == adj[order[j]] & ~(1 << v)}
+        # a twin of v is in v's orbit with no query: swapping the two fixes
+        # every other vertex
+        twins = {j for j in range(k + 1, len(order)) if classes[v] >> order[j] & 1}
         if not twins and next(islice(_embeddings(core, core, fixed), 1, None), None) is None:
             break  # only the identity fixes the vertices before v
         for j, w in enumerate(order[k + 1:], k + 1):

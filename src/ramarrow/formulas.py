@@ -75,16 +75,19 @@ def chromatic_number(g: Graph) -> int:
 
 
 def chromatic_surplus(g: Graph) -> int:
-    """Minimum color-class size over all proper chi-colorings.
+    """Minimum color-class size over all proper chi-colorings."""
+    return chromatic_data(g).surplus
 
-    A class of size z in some chi-coloring is exactly an independent set S
-    with chi(G - S) <= chi - 1, so scan independent sets by size.
+
+def chromatic_data(g: Graph) -> ChromaticData:
+    """chi and the surplus.  A class of size z in some chi-coloring is exactly
+    an independent set S with chi(G - S) <= chi - 1, so scan those by size.
     """
     if g.order > 16:
         raise ValueError(f"chromatic_surplus supports at most 16 vertices, got {g.order}")
     chi = chromatic_number(g)
     if chi == 1:
-        return g.order
+        return ChromaticData(chi, g.order)
     vertices = range(g.order)
     for size in range(1, g.order // chi + 1):
         for subset in combinations(vertices, size):
@@ -97,30 +100,33 @@ def chromatic_surplus(g: Graph) -> int:
                 continue
             rest = g.induced([v for v in vertices if v not in subset])
             if _k_colorable(rest, chi - 1):
-                return size
+                return ChromaticData(chi, size)
     raise AssertionError("pigeonhole guarantees a class of size at most n/chi")
-
-
-def chromatic_data(g: Graph) -> ChromaticData:
-    return ChromaticData(chi=chromatic_number(g), surplus=chromatic_surplus(g))
 
 
 # ---------------------------------------------------------------------------
 # Burr bound and the deletion upper bound
 
 
+def _bound_terms(G: GraphSpec, H: GraphSpec, bound: str) -> tuple[int, int, ChromaticData]:
+    """G's order and max degree and H's chromatic data, once G is connected and |V(G)| >= s(H).
+
+    bound names the caller's bound in the HypothesisError.
+    """
+    g = realize(G)
+    g_stats = stats(g)
+    if not g_stats.is_connected:
+        raise HypothesisError(f"{bound} requires G connected")
+    data = chromatic_data(realize(H))
+    if g.order < data.surplus:
+        raise HypothesisError(f"{bound} requires |V(G)| >= s(H): {g.order} < {data.surplus}")
+    return g.order, g_stats.max_degree, data
+
+
 def burr_bound(G: GraphSpec, H: GraphSpec) -> int:
     """(chi(H)-1)(|V(G)|-1) + s(H); needs G connected and |V(G)| >= s(H)."""
-    g = realize(G)
-    h = realize(H)
-    if not stats(g).is_connected:
-        raise HypothesisError("Burr bound requires the first graph to be connected")
-    data = chromatic_data(h)
-    if g.order < data.surplus:
-        raise HypothesisError(
-            f"Burr bound requires |V(G)| >= s(H): {g.order} < {data.surplus}"
-        )
-    return (data.chi - 1) * (g.order - 1) + data.surplus
+    n, _, data = _bound_terms(G, H, "Burr bound")
+    return (data.chi - 1) * (n - 1) + data.surplus
 
 
 def is_ramsey_good(G: GraphSpec, H: GraphSpec, ramsey_value: int) -> bool:
@@ -134,19 +140,9 @@ def path_critical_parameters(G: GraphSpec, H: GraphSpec, r: int) -> tuple[int, i
     Hypotheses: G connected of order n with a dominating vertex, n >= s(H),
     and r <= (chi(H)-1)n + s(H) - 1; HypothesisError names the one that fails.
     """
-    g = realize(G)
-    h = realize(H)
-    n = g.order
-    g_stats = stats(g)
-    if not g_stats.is_connected:
-        raise HypothesisError("upper bound requires G connected")
-    if g_stats.max_degree != n - 1:
-        raise HypothesisError(
-            f"upper bound requires max degree n-1={n - 1}, got {g_stats.max_degree}"
-        )
-    data = chromatic_data(h)
-    if n < data.surplus:
-        raise HypothesisError(f"upper bound requires n >= s(H): {n} < {data.surplus}")
+    n, max_degree, data = _bound_terms(G, H, "upper bound")
+    if max_degree != n - 1:
+        raise HypothesisError(f"upper bound requires max degree n-1={n - 1}, got {max_degree}")
     limit = (data.chi - 1) * n + data.surplus - 1
     if r > limit:
         raise HypothesisError(f"upper bound requires r <= (chi-1)n+s-1 = {limit}, got {r}")

@@ -28,7 +28,7 @@ def _check_order(order: int) -> None:
 class Graph:
     """Immutable simple undirected graph with bitmask adjacency rows."""
 
-    __slots__ = ("order", "adj", "_edge_list", "_edge_index", "_edge_bits")
+    __slots__ = ("order", "adj", "_edge_list", "_edge_bits")
 
     def __init__(self, order: int, adj):
         adj = tuple(adj)
@@ -48,7 +48,6 @@ class Graph:
         self.order = order
         self.adj = adj
         self._edge_list = None
-        self._edge_index = None
         self._edge_bits = None
 
     @classmethod
@@ -58,7 +57,6 @@ class Graph:
         g.order = order
         g.adj = adj
         g._edge_list = None
-        g._edge_index = None
         g._edge_bits = None
         return g
 
@@ -91,13 +89,12 @@ class Graph:
 
     @property
     def edge_index(self) -> dict[tuple[int, int], int]:
-        if self._edge_index is None:
-            self._edge_index = {e: i for i, e in enumerate(self.edges)}
-        return self._edge_index
+        """Index of each edge (u, v), u < v, rebuilt on each access; loops read edge_bits."""
+        return {e: i for i, e in enumerate(self.edges)}
 
     @property
     def edge_bits(self) -> tuple[tuple[int, ...], ...]:
-        """edge_bits[u][v] is 1 << i for the edge uv of canonical index i, and 0 for a non-edge."""
+        """The edge lookup: edge_bits[u][v] = edge_bits[v][u] = 1 << (index of uv), 0 if no edge."""
         if self._edge_bits is None:
             n = self.order
             bits = [[0] * n for _ in range(n)]
@@ -320,30 +317,32 @@ def _leaf_edges(spec: GraphSpec) -> list[tuple[int, int]] | None:
     return None
 
 
-def _realize_edges(spec: GraphSpec) -> tuple[int, list[tuple[int, int]]]:
+def _rows(spec: GraphSpec) -> list[int]:
+    """The adjacency rows of the expression's realization, built straight from it."""
     leaf = _leaf_edges(spec)
     if leaf is not None:
-        return spec_order(spec), leaf
+        rows = [0] * spec_order(spec)
+        for u, v in leaf:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return rows
     if isinstance(spec, (Join, Union)):
-        ln, le = _realize_edges(spec.left)
-        rn, re = _realize_edges(spec.right)
-        edges = le + [(u + ln, v + ln) for u, v in re]
+        left, right = _rows(spec.left), _rows(spec.right)
+        shift = len(left)
+        right = [row << shift for row in right]
         if isinstance(spec, Join):
-            edges += [(u, v) for u in range(ln) for v in range(ln, ln + rn)]
-        return ln + rn, edges
+            low, high = (1 << shift) - 1, ((1 << len(right)) - 1) << shift
+            left, right = [row | high for row in left], [row | low for row in right]
+        return left + right
     if isinstance(spec, Copies):
-        inn, ine = _realize_edges(spec.inner)
-        edges = []
-        for k in range(spec.count):
-            off = k * inn
-            edges += [(u + off, v + off) for u, v in ine]
-        return spec.count * inn, edges
+        inner = _rows(spec.inner)
+        shift = len(inner)
+        return [row << k * shift for k in range(spec.count) for row in inner]
     if isinstance(spec, Minus):
-        hn, he = _realize_edges(spec.host)
-        _, de = _realize_edges(spec.deleted)
-        drop = {(min(u, v), max(u, v)) for u, v in de}
-        edges = [e for e in he if (min(e), max(e)) not in drop]
-        return hn, edges
+        rows = _rows(spec.host)
+        for v, row in enumerate(_rows(spec.deleted)):
+            rows[v] &= ~row
+        return rows
     raise SpecError(f"not a graph expression: {spec!r}")
 
 
@@ -356,8 +355,7 @@ def realize(spec: GraphSpec) -> Graph:
     order = spec_order(spec)
     if order > MAX_ORDER:
         raise SpecError(f"realized order {order} exceeds the {MAX_ORDER}-vertex cap")
-    n, edges = _realize_edges(spec)
-    return Graph.from_edges(n, edges)
+    return Graph._raw(order, tuple(_rows(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +585,23 @@ def component(adj, v: int, enough: int = MAX_ORDER) -> int:
             frontier ^= low
         frontier = grown & ~reached
     return reached
+
+
+def twin_classes(adj) -> list[int]:
+    """The vertex mask of each vertex's twin class, given adjacency rows.
+
+    Vertices u and v are twins when adj[u] - {v} == adj[v] - {u}: false
+    twins (equal rows) when not adjacent, true twins (equal closed rows)
+    when adjacent.  No vertex has twins of both kinds (a true twin of v is
+    adjacent to every false twin of v, hence so is v), so the relation is
+    an equivalence, and swapping two twins is an automorphism.
+    """
+    open_rows: dict[int, int] = {}
+    closed_rows: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        open_rows[row] = open_rows.get(row, 0) | 1 << v
+        closed_rows[row | 1 << v] = closed_rows.get(row | 1 << v, 0) | 1 << v
+    return [open_rows[row] | closed_rows[row | 1 << v] for v, row in enumerate(adj)]
 
 
 def stats(g: Graph) -> GraphStats:

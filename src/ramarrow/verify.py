@@ -261,25 +261,13 @@ def dimacs_disagreements(cases: int, seed: int = 31) -> int:
     return bad
 
 
-def _check_containment_detectors(budget):
-    bad = detector_generic_disagreements(1000)
-    status = "pass" if bad == 0 else "fail"
-    return status, f"{bad} disagreements over 1000 random graphs x {len(_DETECTOR_TARGETS)} targets"
+def _count_check(count, cases, what):
+    """A check that passes when count(cases) finds no bad case; what names them, over cases."""
+    def check(budget):
+        bad = count(cases)
+        return ("pass" if bad == 0 else "fail"), f"{bad} {what.format(cases)}"
 
-
-def _check_arrows_vs_enumeration(budget):
-    bad = arrows_enumeration_disagreements(200)
-    return ("pass" if bad == 0 else "fail"), f"{bad} disagreements over 200 random instances"
-
-
-def _check_dirac_bound(budget):
-    bad = dirac_violations(500)
-    return ("pass" if bad == 0 else "fail"), f"{bad} violations over 500 random connected graphs"
-
-
-def _check_dimacs_consistency(budget):
-    bad = dimacs_disagreements(60)
-    return ("pass" if bad == 0 else "fail"), f"{bad} verdict mismatches over 60 exports"
+    return check
 
 
 def _check_fan3_triangle(budget):
@@ -306,10 +294,15 @@ _CHECKS = [
     ("matching-triangle-free-classes", "quick", _check_free_coloring_classes),
     ("witness-sweep", "quick", _check_witness_sweep),
     ("burr-goodness", "quick", _check_burr_goodness),
-    ("containment-detectors", "quick", _check_containment_detectors),
-    ("arrows-vs-enumeration", "quick", _check_arrows_vs_enumeration),
-    ("dirac-longest-path", "quick", _check_dirac_bound),
-    ("dimacs-consistency", "quick", _check_dimacs_consistency),
+    ("containment-detectors", "quick", _count_check(
+        detector_generic_disagreements, 1000,
+        f"disagreements over {{}} random graphs x {len(_DETECTOR_TARGETS)} targets")),
+    ("arrows-vs-enumeration", "quick", _count_check(
+        arrows_enumeration_disagreements, 200, "disagreements over {} random instances")),
+    ("dirac-longest-path", "quick", _count_check(
+        dirac_violations, 500, "violations over {} random connected graphs")),
+    ("dimacs-consistency", "quick", _count_check(
+        dimacs_disagreements, 60, "verdict mismatches over {} exports")),
     ("fan3-triangle-arrowing", "full", _check_fan3_triangle),
 ]
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ramarrow import containment, oracles
+from ramarrow import arrowing, containment, oracles
 from ramarrow.arrowing import (
     CopyCapError,
     DeletionFamily,
@@ -115,6 +115,18 @@ def test_copy_cap():
     assert len(enumerate_copies(k7, Path(7), cap=2520)) == 2520
     with pytest.raises(CopyCapError, match="more than 2519 target copies"):
         enumerate_copies(k7, Path(7), cap=2519)
+
+
+def test_default_copy_cap_is_read_at_call_time(monkeypatch):
+    # the search and the DIMACS export agree on the patched cap: K6 has 20 triangles
+    monkeypatch.setattr(arrowing, "DEFAULT_COPY_CAP", 5)
+    k6 = realize(Complete(6))
+    result = arrows(k6, Complete(3), Complete(3))
+    assert result.stats.propagation_mode == "learned"
+    assert result.arrows
+    with pytest.raises(CopyCapError):
+        export_dimacs(k6, Complete(3), Complete(3))
+    assert arrows(k6, Complete(3), Complete(3), copy_cap=20).stats.propagation_mode == "clauses"
 
 
 def test_copy_counts_on_complete_hosts_have_a_closed_form():

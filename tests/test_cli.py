@@ -60,6 +60,13 @@ def test_exit_code_usage(capsys):
     assert code == 3
 
 
+def test_verify_paper_takes_no_deterministic_flag(capsys):
+    # its checks fix their own search order, so the flag would do nothing
+    code, out, err = run_cli(capsys, "verify-paper", "--only", "witness-sweep", "--deterministic")
+    assert code == 3 and out == ""
+    assert err == "usage error: unrecognized arguments: --deterministic\n"
+
+
 def test_exit_code_deeply_nested_spec(capsys):
     host = "(" * 200 + "K3" + ")" * 200
     code, out, err = run_cli(capsys, "arrows", "--host", host, "--red", "K2", "--blue", "K2")
@@ -94,6 +101,23 @@ def test_exit_code_not_found_within_max_r(capsys, json_flag):
     assert code == 2  # no verdict within the bound
     assert out == ""
     assert err == "not found: no complete graph up to K_2 arrows (P3, P3)\n"
+
+
+def test_exit_code_numbers_budget_exhausted(capsys):
+    code, out, err = run_cli(capsys, "numbers", "--red", "K3", "--blue", "K3", "--budget", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "indeterminate: budget exhausted deciding K_5\n"
+
+
+def test_exit_code_verify_check_indeterminate(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify-paper", "--only", "fan2-triangle-arrowing", "--budget", "5", "--json"
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert [c["status"] for c in report["checks"]] == ["indeterminate"]
+    assert report["passed"] is False
 
 
 def test_exit_code_dimacs_past_copy_cap(tmp_path, capsys, monkeypatch):

@@ -115,6 +115,10 @@ def test_errors():
         Coloring.from_edge_triples(host, triples[:2] + [[0, 0, "R"]])
     with pytest.raises(ValueError, match="not an edge"):
         Coloring.from_edge_triples(realize(Minus(Complete(3), Path(2))), triples)
+    # vertex -1 would index vertex 2 of the edge table
+    for bad in ([-1, 0, "R"], [0, -1, "R"], [0, 3, "R"]):
+        with pytest.raises(ValueError, match="not an edge"):
+            Coloring.from_edge_triples(host, triples[:2] + [bad])
     with pytest.raises(ValueError, match="invalid color letter"):
         Coloring.from_edge_triples(host, triples[:2] + [[1, 2, "G"]])
     col = Coloring(host, 0)

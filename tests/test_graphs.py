@@ -27,6 +27,7 @@ from ramarrow.graphs import (
     spec_order,
     spec_to_text,
     stats,
+    twin_classes,
 )
 
 
@@ -179,6 +180,57 @@ def test_realize_minus_places_path_on_low_vertices():
 
 def test_realize_path1_deletes_nothing():
     assert realize(Minus(Complete(5), Path(1))) == realize(Complete(5))
+
+
+def _reference_edges(spec) -> set:
+    """The realization's edge set, built edge by edge from the leaves' edges."""
+    if isinstance(spec, (Join, Union)):
+        shift = spec_order(spec.left)
+        edges = _reference_edges(spec.left)
+        edges |= {(u + shift, v + shift) for u, v in _reference_edges(spec.right)}
+        if isinstance(spec, Join):
+            edges |= {(u, v) for u in range(shift) for v in range(shift, spec_order(spec))}
+        return edges
+    if isinstance(spec, Copies):
+        shift = spec_order(spec.inner)
+        inner = _reference_edges(spec.inner)
+        return {(u + k * shift, v + k * shift) for k in range(spec.count) for u, v in inner}
+    if isinstance(spec, Minus):
+        return _reference_edges(spec.host) - _reference_edges(spec.deleted)
+    return set(realize(spec).edges)
+
+
+def test_realize_rows_match_the_edge_lists():
+    rng = random.Random(22)
+    specs = [parse_spec(t) for t in ("K13\\P6", "K9\\(K3 u P3)", "(K2 + E3)\\M2", "2*(K3\\P2) + S2")]
+    specs += [_random_spec(rng) for _ in range(300)]
+    for _ in range(100):
+        host = _random_spec(rng)
+        deleted = _random_spec(rng)
+        if spec_order(deleted) <= spec_order(host):
+            specs.append(Minus(host, deleted))
+    for spec in specs:
+        if spec_order(spec) > 64:
+            continue
+        g = realize(spec)
+        assert Graph(g.order, g.adj) == g  # symmetric and loop-free
+        assert set(g.edges) == _reference_edges(spec), spec_to_text(spec)
+
+
+def test_twin_classes():
+    # past the deleted path every vertex of K_r \ P_n is a twin of the others
+    assert twin_classes(realize(parse_spec("K7\\P3")).adj) == [
+        0b101, 0b10, 0b101, *[0b1111000] * 4
+    ]
+    assert twin_classes(realize(Star(3)).adj) == [0b1] + [0b1110] * 3
+    rng = random.Random(9)
+    for _ in range(200):
+        g = oracles.random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.9))
+        adj = g.adj
+        assert twin_classes(adj) == [
+            sum(1 << u for u in range(g.order) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+            for v in range(g.order)
+        ], g.adj
 
 
 def test_realize_order_overflow():

@@ -66,3 +66,14 @@ def test_private_name_check_sees_both_spellings():
     assert sorted(private_names(source)) == [
         "containment._leaf", "f._k_colorable", "graphs._leaf_edges", "ramarrow.arrowing._lanes",
     ]
+
+
+def test_only_the_oracles_read_edge_index():
+    # graphs defines it, and the oracles keep their own lookup to stay
+    # independent; everywhere else an edge's bit is read from Graph.edge_bits
+    readers = {
+        path.name for path in SRC.glob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr == "edge_index"
+               for node in ast.walk(ast.parse(path.read_text())))
+    }
+    assert readers == {"oracles.py"}
