@@ -188,9 +188,12 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
     top entry, so units are processed newest batch first and, within a
     batch, highest lane first, and colors that copy's one free edge, read
     from the current edge masks, with the other color; the lane is skipped
-    when another unit has colored that edge since.  Only the edge a step
-    starts from can already be colored.  A step builds a new state, so
-    backtracking restores a saved one.
+    when another unit has colored that edge since.  A step builds a new
+    state, so backtracking restores a saved one.  Every step starts from an
+    uncolored edge: a decision takes its edge from skip, a BLUE branch runs
+    on the state saved before its edge was colored RED, and in the one-edge
+    pre-pass the copies have distinct edges and a step that colors any edge
+    besides its own conflicts at once.
 
     When either target has more than copy_cap copies (DEFAULT_COPY_CAP,
     read at call time, when it is None), both sides learn
@@ -200,9 +203,11 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
     A copy found is a conflict and becomes a new lane of c; a state popped
     from the DFS stack first takes in the lanes learned since it was
     pushed, counted from its own edge masks, so learned clauses propagate
-    in every later branch.  For that query the learned-mode state also
-    carries the adjacency rows of each color class, which step grows with
-    each colored edge.
+    in every later branch.  Such a lane was learned inside the pushed
+    state's RED subtree, as a copy all of color c there, so no edge of it
+    has the other color in the pushed state and its lane is alive.  For
+    that query the learned-mode state also carries the adjacency rows of
+    each color class, which step grows with each colored edge.
 
     stats gets nodes (current at each yield), propagation_mode and
     budget_exhausted; the search stops once nodes passes the budget.
@@ -249,12 +254,8 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
         return True
 
     def step(state, e, c):
-        # state with edge e colored c and its consequences, or None on a conflict
+        # state with the uncolored edge e colored c and its consequences, or None on a conflict
         b = bit[e]
-        if state[c] & b:
-            return state
-        if state[1 - c] & b:
-            return None
         s = list(state)
         # (unit lanes, their color) batches whose one free edge takes the other color
         pending = []
@@ -307,8 +308,6 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
         free = ~(s[RED] | s[BLUE])
         for c, j in learned[since:]:
             mask = copies[c][j]
-            if mask & s[1 - c]:
-                continue
             lane = 1 << j
             s[2 + c] |= lane
             count = (mask & free).bit_count()
@@ -458,13 +457,20 @@ def all_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> list[C
 # Ramsey and critical numbers
 
 
+def _arrows_or_raise(host: Graph, red: TargetKind, blue: TargetKind, budget, what: str) -> bool:
+    """Whether host -> (red, blue); IndeterminateError naming what when the budget runs out."""
+    result = arrows(host, red, blue, budget=budget)
+    if result.verdict == "indeterminate":
+        raise IndeterminateError(f"budget exhausted deciding {what}")
+    return result.arrows
+
+
 def ramsey_number(
     red: TargetKind,
     blue: TargetKind,
     max_r: int = 64,
     *,
     budget: int | None = None,
-    deterministic: bool = False,
 ) -> int:
     """Smallest r <= max_r with K_r -> (red, blue), by ascending search.
 
@@ -482,13 +488,7 @@ def ramsey_number(
     except ValueError:  # formulas.HypothesisError included
         pass
     for r in range(start, max_r + 1):
-        result = arrows(
-            realize(Complete(r)), red, blue,
-            budget=budget, deterministic=deterministic,
-        )
-        if result.verdict == "indeterminate":
-            raise IndeterminateError(f"budget exhausted deciding K_{r}")
-        if result.arrows:
+        if _arrows_or_raise(realize(Complete(r)), red, blue, budget, f"K_{r}"):
             return r
     raise NotFoundWithinBoundError(
         f"no complete graph up to K_{max_r} arrows ({target_label(red)}, {target_label(blue)})"
@@ -499,30 +499,24 @@ def critical_number(
     red: TargetKind,
     blue: TargetKind,
     family: DeletionFamily,
-    r: int | None = None,
+    r: int,
     *,
     budget: int | None = None,
-    deterministic: bool = False,
 ) -> int:
     """Largest family index whose deletion from K_r preserves arrowing.
 
-    Returns 0 when even the smallest one-edge deletion (P_2 / M_1 / K_2)
-    breaks arrowing.  Deleting family member i+1 removes a superset of the
-    edges of member i under the canonical placement, so the upward scan
-    stops at the first failure.
+    r is required; the paper's critical numbers take r = R(red, blue), which
+    ramsey_number gives.  Returns 0 when even the smallest one-edge deletion
+    (P_2 / M_1 / K_2) breaks arrowing.  Deleting family member i+1 removes a
+    superset of the edges of member i under the canonical placement, so the
+    upward scan stops at the first failure.
     """
-    if r is None:
-        r = ramsey_number(red, blue, budget=budget, deterministic=deterministic)
     last = 0
     index = family.first_index()
     while index <= family.max_index(r):
         host = realize(Minus(Complete(r), family.deletion_spec(index)))
-        result = arrows(host, red, blue, budget=budget, deterministic=deterministic)
-        if result.verdict == "indeterminate":
-            raise IndeterminateError(
-                f"budget exhausted deciding K_{r} minus {family.value} index {index}"
-            )
-        if not result.arrows:
+        if not _arrows_or_raise(host, red, blue, budget,
+                                f"K_{r} minus {family.value} index {index}"):
             break
         last = index
         index += 1

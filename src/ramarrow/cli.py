@@ -67,6 +67,8 @@ def _build_parser() -> _Parser:
     p_arrows.add_argument("--emit-witness", metavar="PATH", help="write counterexample JSON here")
     p_arrows.add_argument("--dimacs", metavar="PATH", help="write the CNF encoding here")
     common(p_arrows)
+    p_arrows.add_argument("--deterministic", action="store_true",
+                          help="canonical-order search; counterexamples are lexicographically least")
 
     p_numbers = sub.add_parser("numbers", help="Ramsey number and critical number for a pair")
     p_numbers.add_argument("--red", required=True)
@@ -79,10 +81,6 @@ def _build_parser() -> _Parser:
     )
     p_numbers.add_argument("--max-r", type=int, default=17, help="largest host to try")
     common(p_numbers)
-    # not verify-paper: its checks fix their own search order
-    for p in (p_arrows, p_numbers):
-        p.add_argument("--deterministic", action="store_true",
-                       help="canonical-order search; counterexamples are lexicographically least")
 
     p_verify = sub.add_parser("verify-paper", help="run the reproduction suite")
     p_verify.add_argument("--level", choices=["quick", "full"], default="quick")
@@ -189,12 +187,8 @@ def _cmd_numbers(args) -> int:
     family = DeletionFamily(args.family)
 
     t0 = time.perf_counter()
-    r_search = ramsey_number(
-        red, blue, max_r=args.max_r, budget=args.budget, deterministic=args.deterministic
-    )
-    crit_search = critical_number(
-        red, blue, family, r_search, budget=args.budget, deterministic=args.deterministic
-    )
+    r_search = ramsey_number(red, blue, max_r=args.max_r, budget=args.budget)
+    crit_search = critical_number(red, blue, family, r_search, budget=args.budget)
     r_catalog, crit_closed, mismatches = compare_with_catalog(
         red, blue, r_search, crit_search if family is DeletionFamily.PATH else None
     )

@@ -574,6 +574,8 @@ def test_ramsey_not_found_within_bound():
         ramsey_number(Complete(3), Complete(3), max_r=5)
     with pytest.raises(ValueError, match="at least 1"):
         ramsey_number(Complete(3), Complete(3), max_r=0)
+    with pytest.raises(ValueError, match="capped at 64"):
+        ramsey_number(Complete(3), Complete(3), max_r=65)
 
 
 def test_ramsey_number_of_an_edgeless_target_is_one():
@@ -613,8 +615,12 @@ def test_deletion_monotonicity():
 
 
 def test_indeterminate_propagates():
-    with pytest.raises(IndeterminateError):
+    # each scan names the host it could not decide
+    with pytest.raises(IndeterminateError,
+                       match=r"^budget exhausted deciding K_9 minus path index 2$"):
         critical_number(Fan(2), Complete(3), DeletionFamily.PATH, 9, budget=5)
+    with pytest.raises(IndeterminateError, match=r"^budget exhausted deciding K_5$"):
+        ramsey_number(Star(2), Complete(3), budget=1)
 
 
 def test_search_matches_catalog_for_small_pairs():

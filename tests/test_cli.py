@@ -10,6 +10,7 @@ import ramarrow.arrowing as arrowing
 import ramarrow.cli as cli
 import ramarrow.containment as containment
 import ramarrow.formulas as formulas
+import ramarrow.verify as verify
 from ramarrow.cli import main
 from ramarrow.graphs import graph6_decode
 from ramarrow.verify import run_verification
@@ -63,6 +64,13 @@ def test_exit_code_usage(capsys):
 def test_verify_paper_takes_no_deterministic_flag(capsys):
     # its checks fix their own search order, so the flag would do nothing
     code, out, err = run_cli(capsys, "verify-paper", "--only", "witness-sweep", "--deterministic")
+    assert code == 3 and out == ""
+    assert err == "usage error: unrecognized arguments: --deterministic\n"
+
+
+def test_numbers_takes_no_deterministic_flag(capsys):
+    # a number scan reads verdicts only, and a verdict does not depend on branch order
+    code, out, err = run_cli(capsys, "numbers", "--red", "S2", "--blue", "K3", "--deterministic")
     assert code == 3 and out == ""
     assert err == "usage error: unrecognized arguments: --deterministic\n"
 
@@ -366,6 +374,25 @@ def test_verify_quick_output_is_pinned():
     for check in report["checks"]:
         del check["runtime_ms"]
     assert report == json.loads((DATA / "verify_quick.json").read_text())
+
+
+def test_run_verification_reports_each_outcome(monkeypatch):
+    with pytest.raises(ValueError, match="level must be quick or full, got 'medium'"):
+        run_verification(level="medium")
+    # a check out of budget is indeterminate and names the host it could not decide
+    check = run_verification(only={"star-clique-critical"}, budget=1)["checks"][0]
+    assert (check["status"], check["detail"]) == ("indeterminate", "budget exhausted deciding K_5")
+
+    # a check that raises is a failing check, named by the exception
+    def crash(budget):
+        raise RuntimeError("boom")
+
+    name, level, _ = verify._CHECKS[0]
+    monkeypatch.setattr(verify, "_CHECKS", [(name, level, crash), *verify._CHECKS[1:]])
+    report = run_verification(only={name})
+    assert report["passed"] is False
+    check = report["checks"][0]
+    assert (check["name"], check["status"], check["detail"]) == (name, "fail", "RuntimeError: boom")
 
 
 def test_verify_full_level_stretch_skips_on_budget(capsys):

@@ -73,6 +73,16 @@ def test_witness_star8_book2():
     assert red == realize(Union(Minus(Complete(9), Path(9)), Complete(8)))
 
 
+def test_witness_star2_matching2():
+    # s(2K2) = 2, so a last block of s - 1 = 1 vertex follows the t blocks of n
+    report = block_coloring_witness(Star(2), Matching(2), 4)
+    assert witness_payload(report)["host"] == "K4\\P3"
+    assert report.parameters == {"k": 2, "t": 1, "s": 2, "r": 4, "n": 3}
+    coloring = report.coloring
+    assert not oracles.brute_contains(monochromatic_subgraph(coloring, RED), realize(Star(2)))
+    assert not oracles.brute_contains(monochromatic_subgraph(coloring, BLUE), realize(Matching(2)))
+
+
 def test_witness_certifies_upper_bound():
     for G, H, r in [(Star(3), Complete(3), 7), (Fan(2), Complete(3), 9)]:
         report = block_coloring_witness(G, H, r)

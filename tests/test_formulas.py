@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ramarrow import oracles
-from ramarrow.containment import Generic, target_from_spec
+from ramarrow.containment import Generic, max_clique_size, target_from_spec
 from ramarrow.formulas import (
     HypothesisError,
     burr_bound,
@@ -13,8 +13,10 @@ from ramarrow.formulas import (
     chromatic_number,
     chromatic_surplus,
     closed_form_path_critical,
+    compare_with_catalog,
     is_ramsey_good,
     known_ramsey,
+    path_critical_parameters,
     path_critical_upper_bound,
 )
 from ramarrow.graphs import (
@@ -22,6 +24,7 @@ from ramarrow.graphs import (
     Complete,
     Empty,
     Fan,
+    Graph,
     Matching,
     Minus,
     Path,
@@ -43,6 +46,10 @@ def test_chromatic_number_examples():
     assert chromatic_number(realize(Path(7))) == 2
     assert chromatic_number(realize(Empty(5))) == 1
     assert chromatic_number(realize(Minus(Complete(4), Path(2)))) == 3
+    # chi above the clique number: the 5-cycle needs a third color
+    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert max_clique_size(c5) == 2
+    assert chromatic_number(c5) == 3 == oracles.chromatic_by_enumeration(c5)
 
 
 def test_chromatic_surplus_examples():
@@ -123,6 +130,8 @@ def test_upper_bound_hypothesis_messages():
         path_critical_upper_bound(Path(4), Complete(3), 9)
     with pytest.raises(HypothesisError, match="r <="):
         path_critical_upper_bound(Star(3), Complete(3), 12)
+    with pytest.raises(HypothesisError, match="r=4 lies below the Burr lower bound"):
+        path_critical_parameters(Star(2), Complete(3), 4)
 
 
 # --- catalogs ------------------------------------------------------------------
@@ -198,6 +207,12 @@ def test_closed_form_examples():
     assert closed_form_path_critical(Star(8), Book(2)).value == 8
     assert closed_form_path_critical(Star(2), Path(7)).value == 7
     assert closed_form_path_critical(Matching(1), Matching(2)).value == 4
+
+
+def test_compare_with_catalog_names_a_critical_mismatch():
+    entry, closed, mismatches = compare_with_catalog(Star(2), Complete(3), 5, 3)
+    assert (entry.value, closed.value) == (5, 2)
+    assert mismatches == ["critical number: search 3 vs closed form 2 (path-critical star-clique)"]
 
 
 def test_closed_form_outside_validity():
