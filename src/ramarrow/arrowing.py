@@ -24,13 +24,30 @@ coloring it reaches; arrows takes the first (exhausting the space proves
 arrowing, and a coloring is re-verified before it is returned as a
 counterexample), and all_free_colorings takes them all.
 
+A clause-mode search that passes _SPLIT_GATE (4,096) nodes, in a process
+that has more than one CPU, os.fork and a single thread, cuts the rest of
+its tree into subtrees in DFS order, walks them in forked worker
+processes and merges the results back in DFS order.  In clause mode the
+tree is a fixed function of the host, the targets and the branch order,
+so the verdict, the node count (also at an exhausted budget), the
+counterexample and the order of the colorings equal the sequential
+search's.  Learned mode stays sequential.
+
 The search and export_dimacs call enumerate_copies through this module's
 name for it, so a wrapper set on arrowing.enumerate_copies sees each call.
 """
 
 from __future__ import annotations
 
+import gc
+import marshal
+import os
+import select
+import signal
+import sys
+import threading
 import time
+import traceback
 from dataclasses import dataclass
 from enum import Enum
 
@@ -166,13 +183,15 @@ def _branch_order(host: Graph, deterministic: bool) -> list[int]:
     return sorted(range(len(edges)), key=key.__getitem__)
 
 
-def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, copy_cap=None):
-    """Yield each free coloring of the host as its red edge mask, in DFS order.
+def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, copy_cap=None,
+                    first=False):
+    """An iterator over each free coloring of the host as its red edge mask, in DFS order.
 
     An explicit-stack DFS over the edges in branch order, with unit
     propagation over the copy clauses ("some edge of a red copy is blue"
     and vice versa); each decision tries RED before BLUE, and symmetric
-    (for red == blue) fixes the first free edge RED.
+    (for red == blue) fixes the first free edge RED.  With first, the
+    iterator stops after the first coloring.
 
     Copy j of targets[c] is lane j of color c, and lanes[c][e] has bit j
     set when that copy contains edge e.  A state is one flat list: the red
@@ -209,6 +228,9 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
     that query the learned-mode state also carries the adjacency rows of
     each color class, which step grows with each colored edge.
 
+    A clause-mode search that passes _SPLIT_GATE nodes (read at call time)
+    walks the rest of its tree in worker processes; see _split.
+
     stats gets nodes (current at each yield), propagation_mode and
     budget_exhausted; the search stops once nodes passes the budget.
     """
@@ -228,7 +250,7 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
         k = p.edge_count
         # an edgeless target that fits is in every color class, so no coloring is free
         if not k and p.order <= n:
-            return
+            return iter(())
         sizes.append(k)
     learning = copies is None
     if learning:
@@ -338,11 +360,11 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
         count = sizes[c] - 2
         if count < 0:
             state[4 + c] = every
-        first = len(state)
+        start = len(state)
         while count > 0:
             state.append(every if count & 1 else 0)
             count >>= 1
-        planes.append(range(first, len(state)))
+        planes.append(range(start, len(state)))
     rows_at = len(state)
     if learning:
         state += [(0,) * n, (0,) * n]
@@ -353,28 +375,51 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
             for mask in copies[forbid]:
                 state = step(state, mask.bit_length() - 1, 1 - forbid)
                 if state is None:
-                    return
+                    return iter(())
 
     if symmetric:
-        first = skip(state, 0)
-        if first < m:
-            state = step(state, order[first], RED)
+        oi = skip(state, 0)
+        if oi < m:
+            state = step(state, order[oi], RED)
             if state is None:
-                return
+                return iter(())
 
+    tree = (step, catch_up, skip, order, learned)
+    return _walk(tree, stats, state, skip(state, 0), _NO_LIMIT if budget is None else budget,
+                 None if learning else _SPLIT_GATE, first)
+
+
+def _walk(tree, stats, state, oi, budget, gate, first):
+    """Yield the free colorings of the subtree at state, from order position oi, in DFS order.
+
+    tree is (step, catch_up, skip, order, learned) of one search.  Counts
+    nodes from 0 into stats.  Past gate nodes (None for never), the
+    rest of the tree goes to _split when the process may fork; a worker
+    walks with no gate, so it never forks.
+    """
+    step, catch_up, skip, order, learned = tree
+    m = len(order)
+    limit = budget if gate is None else min(gate, budget)
     nodes = 0
     # (order position, state before it, len(learned) then) of decisions whose BLUE branch is open
     stack = []
-    oi = skip(state, 0)
     while True:
         if oi == m:
             stats.nodes = nodes
             yield state[RED]
+            if first:
+                return
         else:
             nodes += 1
-            if budget is not None and nodes > budget:
-                stats.nodes, stats.budget_exhausted = nodes, True
-                return
+            if nodes > limit:
+                if nodes > budget:
+                    stats.nodes, stats.budget_exhausted = nodes, True
+                    return
+                workers = _workers()
+                if workers > 1:
+                    yield from _split(tree, stats, state, oi, stack, nodes, budget, first, workers)
+                    return
+                limit = budget
             stack.append((oi, state, len(learned)))
             nxt = step(state, order[oi], RED)
             if nxt is not None:
@@ -393,6 +438,184 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
         else:
             stats.nodes = nodes
             return
+
+
+# ---------------------------------------------------------------------------
+# Splitting a clause-mode search over worker processes
+#
+# The nodes before a subtree plus the nodes inside it are the sequential
+# count at any point of it, so a merge in DFS order gives every output of
+# the sequential search.  Learned mode stays sequential, since its lanes
+# carry over from one subtree to the next.  Workers are forked, not
+# spawned, so that they start from the search's lanes and step functions
+# as built; a fork is safe only while a single thread runs.
+
+_SPLIT_GATE = 4096  # nodes a search walks alone before it splits
+_SUBTREES_PER_WORKER = 32
+_NO_LIMIT = sys.maxsize  # the budget of a search that has none
+
+
+def _workers() -> int:
+    """Processes a split may use: 1 where forking is missing or unsafe (a second thread)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(tree, stats, state, oi, stack, nodes, budget, first, workers):
+    """Yield what _walk would yield from its decision node at (state, oi) on.
+
+    nodes counts that node.  The rest of the tree is its two branches and
+    the open BLUE branches on stack, newest first.  The subtree with the
+    most free edges is expanded into its counted node and two branches
+    until there are _SUBTREES_PER_WORKER subtrees per worker (as many as
+    one atomic pipe write of 4-byte indices holds).  Workers take the
+    indices from that one queue and each walks its subtrees with the
+    budget left at the split, which covers any subtree's share, and stops
+    a subtree at its first coloring under first.  The merge adds up nodes
+    in DFS order and cuts back to the budget.  Every worker is killed and
+    reaped on the way out, however the generator ends.
+    """
+    step, _, skip, order, _ = tree
+    m = len(order)
+
+    def branch(state, oi, c):
+        nxt = step(state, order[oi], c)
+        return None if nxt is None else (nxt, skip(nxt, oi + 1))
+
+    def free(item):
+        return -1 if item is None else m - (item[0][RED] | item[0][BLUE]).bit_count()
+
+    # the rest of the tree in DFS order: (state, oi) for a subtree, None for a node counted here
+    items = [branch(state, oi, RED), branch(state, oi, BLUE)]
+    items += [branch(s, o, BLUE) for o, s, _ in reversed(stack)]
+    items = [item for item in items if item is not None]
+    want = min(_SUBTREES_PER_WORKER * workers, select.PIPE_BUF // 4)
+    while len(items) - items.count(None) < want:
+        frees = [free(item) for item in items]
+        most = max(frees, default=0)
+        if most <= 0:
+            break  # every subtree left is a single coloring
+        i = frees.index(most)
+        s, o = items[i]
+        items[i:i + 1] = [None] + [x for x in (branch(s, o, RED), branch(s, o, BLUE)) if x]
+    roots = [item for item in items if item is not None]
+
+    tasks, queue = os.pipe()
+    os.write(queue, b"".join(i.to_bytes(4, "little") for i in range(len(roots))))
+    os.close(queue)
+    running = {}  # result pipe -> worker pid
+    try:
+        for _ in range(min(workers, len(roots))):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(out)
+                os.close(into)
+                raise
+            if pid == 0:  # the worker: exit without unwinding the caller's frames
+                code = 1
+                try:
+                    _serve(tree, roots, budget - nodes, first, tasks, into)
+                    code = 0
+                except BaseException:
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            running[out] = pid
+            os.close(into)
+        done = {}  # subtree index -> (leaves, nodes)
+        partial = {fd: b"" for fd in running}
+        at = 0
+        for item in items:
+            if item is None:
+                nodes += 1
+                if nodes > budget:
+                    break
+                continue
+            while at not in done:
+                _receive(running, partial, done)
+            leaves, count = done.pop(at)
+            at += 1
+            for local, mask in leaves:
+                if nodes + local > budget:
+                    break
+                stats.nodes = nodes + local
+                yield mask
+                if first:
+                    return
+            nodes += count
+            if nodes > budget:
+                break
+        else:
+            stats.nodes = nodes
+            return
+        stats.nodes, stats.budget_exhausted = budget + 1, True
+    finally:
+        for fd, pid in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+        os.close(tasks)
+
+
+def _serve(tree, roots, budget, first, tasks, out):
+    """Walk each subtree whose index comes off tasks; write (index, leaves, nodes) to out.
+
+    leaves holds (nodes before it, red mask) of each coloring, nodes the
+    subtree's count, budget + 1 when it ran out.
+    """
+    # a collection would touch, and so copy, every object the fork shares
+    gc.disable()
+    # an interrupt is the parent's to handle: it kills the workers on its way out
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        record = os.read(tasks, 4)  # the queue was written whole, so a read takes one index
+        if not record:
+            return
+        i = int.from_bytes(record, "little")
+        stats = SearchStats()
+        state, oi = roots[i]
+        leaves = [(stats.nodes, mask) for mask in _walk(tree, stats, state, oi, budget, None, first)]
+        data = marshal.dumps((i, leaves, stats.nodes))
+        view = memoryview(len(data).to_bytes(8, "little") + data)
+        while view:
+            view = view[os.write(out, view):]
+
+
+def _receive(running, partial, done):
+    """Read the results the workers have written into done; reap a worker whose pipe closed.
+
+    A worker that exits without writing every result it took raises RuntimeError.
+    """
+    if not running:
+        raise RuntimeError("search workers exited before every subtree was walked")
+    poller = select.poll()
+    for fd in running:
+        poller.register(fd, select.POLLIN)
+    for fd, _ in poller.poll():
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            pid = running.pop(fd)
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code or partial[fd]:
+                raise RuntimeError(f"search worker {pid} ended with exit code {code} "
+                                   f"before writing all its results")
+            continue
+        data = partial[fd] + chunk
+        while len(data) >= 8:
+            size = 8 + int.from_bytes(data[:8], "little")
+            if len(data) < size:
+                break
+            i, leaves, count = marshal.loads(data[8:size])
+            done[i] = (leaves, count)
+            data = data[size:]
+        partial[fd] = data
 
 
 def check_free(coloring: Coloring, red: TargetKind, blue: TargetKind) -> Coloring:
@@ -432,7 +655,7 @@ def arrows(
     stats = SearchStats()
     found = next(_free_colorings(
         host, red, blue, stats, order=_branch_order(host, deterministic),
-        symmetric=red == blue, budget=budget, copy_cap=copy_cap,
+        symmetric=red == blue, budget=budget, copy_cap=copy_cap, first=True,
     ), None)
     stats.runtime_ms = (time.perf_counter() - t0) * 1000.0
     if stats.budget_exhausted:
@@ -476,7 +699,8 @@ def ramsey_number(
 
     The scan starts from the Burr lower bound when its hypotheses apply.
     The result is the search value alone; formulas.compare_with_catalog
-    checks it against the catalog.
+    checks it against the catalog.  The node budget applies to each host's
+    search, not to the scan.
     """
     if max_r > 64:
         raise ValueError("max_r is capped at 64")
@@ -507,9 +731,12 @@ def critical_number(
 
     r is required; the paper's critical numbers take r = R(red, blue), which
     ramsey_number gives.  Returns 0 when even the smallest one-edge deletion
-    (P_2 / M_1 / K_2) breaks arrowing.  Deleting family member i+1 removes a
+    (P_2 / M_1 / K_2) breaks arrowing while K_r itself arrows, and raises
+    ValueError when K_r does not arrow (r below R), which is searched only
+    when the first deletion fails or K_r has none.  Deleting family member i+1 removes a
     superset of the edges of member i under the canonical placement, so the
-    upward scan stops at the first failure.
+    upward scan stops at the first failure.  The node budget applies to
+    each host's search, not to the scan.
     """
     last = 0
     index = family.first_index()
@@ -520,6 +747,9 @@ def critical_number(
             break
         last = index
         index += 1
+    if not last and not _arrows_or_raise(realize(Complete(r)), red, blue, budget, f"K_{r}"):
+        raise ValueError(f"K_{r} does not arrow ({target_label(red)}, {target_label(blue)}), "
+                         f"so r is below their Ramsey number")
     return last
 
 

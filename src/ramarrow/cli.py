@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--budget", type=int, default=None, help="node budget for the search")
+        p.add_argument("--budget", type=int, default=None, help="node budget of each host's search")
         p.add_argument("--json", action="store_true", help="print the report as JSON")
 
     p_arrows = sub.add_parser("arrows", help="decide host -> (red, blue)")

@@ -1,7 +1,9 @@
 import gc
 import json
+import os
 import pathlib
 import random
+import threading
 
 import pytest
 
@@ -11,6 +13,7 @@ from ramarrow.arrowing import (
     DeletionFamily,
     IndeterminateError,
     NotFoundWithinBoundError,
+    SearchStats,
     all_free_colorings,
     arrows,
     check_free,
@@ -32,6 +35,7 @@ from ramarrow.graphs import (
     Book,
     Complete,
     Fan,
+    Graph,
     Matching,
     Minus,
     Path,
@@ -559,6 +563,130 @@ def test_search_depth_is_not_bounded_by_recursion(target, copy_cap, mode, nodes)
     assert not contains_target(monochromatic_subgraph(col, BLUE), target)
 
 
+# --- the split search ----------------------------------------------------------
+#
+# Past arrowing._SPLIT_GATE nodes a clause-mode search walks the rest of its
+# tree in forked workers.  Every output must equal the sequential one.
+
+
+@pytest.fixture
+def split_early(monkeypatch):
+    """Split every clause-mode search past its third node over two worker processes."""
+    monkeypatch.setattr(arrowing, "_SPLIT_GATE", 3)
+    monkeypatch.setattr(arrowing, "_workers", lambda: 2)
+
+
+def test_clause_mode_outcomes_are_pinned_when_split(split_early):
+    assert _clause_grid() == json.loads((DATA / "clause_grid.json").read_text())
+
+
+def test_engine_output_is_pinned_when_split(split_early):
+    test_engine_output_is_pinned()
+
+
+def test_many_copies_per_edge_are_pinned_when_split(split_early):
+    for case in [(10, 15120, "arrows", 90), (8, 3360, "counterexample", 23)]:
+        test_many_copies_per_edge_are_pinned(*case)
+
+
+def test_deterministic_counterexample_is_lex_least_when_split(split_early):
+    test_deterministic_counterexample_is_lex_least()
+
+
+def _yields(host, red, blue, **kwargs):
+    """Each mask _free_colorings yields with the node count at its yield, and the final stats."""
+    stats = SearchStats()
+    seen = [(stats.nodes, mask) for mask in arrowing._free_colorings(host, red, blue, stats,
+                                                                       **kwargs)]
+    return seen, stats.nodes, stats.budget_exhausted
+
+
+@pytest.mark.parametrize("gate, subtrees", [(3, 32), (40, 2)])
+def test_split_search_stops_where_the_sequential_one_does(monkeypatch, gate, subtrees):
+    monkeypatch.setattr(arrowing, "_SPLIT_GATE", gate)
+    monkeypatch.setattr(arrowing, "_SUBTREES_PER_WORKER", subtrees)
+    cases = [
+        # no coloring in 16,025 nodes; a first coloring after 23; 2,812 colorings in 2,889 nodes
+        (realize(Minus(Complete(9), Path(4))), Fan(2), Complete(3), (4, 45, 3000)),
+        (realize(Complete(8)), Path(5), Complete(3), (None, 3, 4, 22, 23, 24, 60)),
+        (realize(Complete(6)), Complete(3), Complete(4), (None, 4, 41, 42, 500, 2888, 2889)),
+    ]
+    for host, red, blue, budgets in cases:
+        for budget in budgets:
+            for first in (False, True):
+                kwargs = dict(order=arrowing._branch_order(host, False), symmetric=False,
+                              budget=budget, first=first)
+                monkeypatch.setattr(arrowing, "_workers", lambda: 1)
+                want = _yields(host, red, blue, **kwargs)
+                monkeypatch.setattr(arrowing, "_workers", lambda: 2)
+                assert _yields(host, red, blue, **kwargs) == want, (host, red, blue, budget)
+
+
+def _no_child_left():
+    # no worker outlives the call, not even as a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_outlives_a_split_search(split_early, monkeypatch):
+    # the first counterexample comes after 14 nodes, with workers still walking
+    # subtrees of a 14,515-node tree
+    result = arrows(realize(Minus(Complete(9), Path(5))), Fan(2), Complete(3))
+    assert (result.verdict, result.stats.nodes) == ("counterexample", 14)
+    _no_child_left()
+
+    host = realize(Complete(6))
+    search = arrowing._free_colorings(host, Complete(3), Complete(4), SearchStats(),
+                                      order=arrowing._branch_order(host, True), symmetric=False)
+    assert len([next(search) for _ in range(5)]) == 5
+    search.close()
+    _no_child_left()
+
+    def fail(*args):
+        raise ValueError("worker fails")
+
+    monkeypatch.setattr(arrowing, "_serve", fail)
+    with pytest.raises(RuntimeError, match="search worker .* ended with exit code 1"):
+        arrows(realize(Complete(9)), Complete(3), Complete(4))
+    _no_child_left()
+
+
+def test_searches_that_must_not_fork(monkeypatch):
+    def forbidden():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    # scan-sized questions stay below the gate: hosts of 4-9 vertices and at
+    # most 14 edges, targets from the verify pool
+    rng = random.Random(5)
+    for i in range(200):
+        host = oracles.random_graph(rng, 4 + i % 6, rng.uniform(0.3, 0.8))
+        edges = list(host.edges)
+        if len(edges) > 14:
+            rng.shuffle(edges)
+            host = Graph.from_edges(host.order, edges[:14])
+        arrows(host, rng.choice(_RANDOM_TARGET_POOL), rng.choice(_RANDOM_TARGET_POOL))
+
+    monkeypatch.setattr(arrowing, "_SPLIT_GATE", 3)
+    # nor does a search past the gate while a second thread runs
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert arrows(realize(Complete(9)), Complete(3), Complete(4)).stats.nodes == 19563
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+    # nor learned mode, whose lanes carry over from one subtree to the next
+    monkeypatch.setattr(arrowing, "_workers", lambda: 2)
+    result = arrows(realize(Complete(8)), Book(2), Complete(3), copy_cap=0)
+    assert (result.verdict, result.stats.propagation_mode, result.stats.nodes) == (
+        "arrows", "learned", 1266,
+    )
+
+
 # --- ramsey_number and critical_number --------------------------------------
 
 
@@ -589,6 +717,16 @@ def test_critical_examples():
     assert critical_number(Matching(2), Matching(2), DeletionFamily.PATH, 5) == 5
     assert critical_number(Star(2), Star(2), DeletionFamily.PATH, 3) == 0
     assert critical_number(Star(2), Complete(3), DeletionFamily.PATH, 5) == 2
+
+
+def test_critical_number_below_the_ramsey_number_raises():
+    # R(S2, K3) = 5: K4 has a counterexample, so no deletion from it is critical
+    assert arrows(realize(Complete(4)), Star(2), Complete(3)).verdict == "counterexample"
+    with pytest.raises(ValueError, match=r"^K_4 does not arrow \(S2, K3\)"):
+        critical_number(Star(2), Complete(3), DeletionFamily.PATH, 4)
+    # K1 has no path to delete and no K3 in either color
+    with pytest.raises(ValueError, match=r"^K_1 does not arrow \(K3, K3\)"):
+        critical_number(Complete(3), Complete(3), DeletionFamily.PATH, 1)
 
 
 def test_critical_other_families():

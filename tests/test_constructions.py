@@ -4,7 +4,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
-from ramarrow import oracles
+from ramarrow import arrowing, oracles
 from ramarrow.coloring import BLUE, RED, Coloring, monochromatic_subgraph
 from ramarrow.constructions import (
     _twin_swaps,
@@ -373,3 +373,19 @@ def test_k3_k4_classes_on_complete_hosts(n, labeled, classes):
     host = realize(Complete(n))
     assert len(all_free_colorings(host, Complete(3), Complete(4))) == labeled
     assert len(enumerate_free_colorings(host, Complete(3), Complete(4))) == classes
+
+
+def test_free_colorings_are_listed_alike_when_split(monkeypatch):
+    # the colorings behind the pinned representatives and the K3K4 counts,
+    # with every search split past its third node over two workers, equal
+    # the sequential lists
+    pinned = json.loads((DATA / "free_coloring_representatives.json").read_text())
+    questions = [[parse_spec(text) for text in question.split()] for question in pinned]
+    questions += [[Complete(n), Complete(3), Complete(4)] for n, _, _ in K3K4_CLASSES]
+    monkeypatch.setattr(arrowing, "_SPLIT_GATE", 3)
+    for host, red, blue in questions:
+        host = realize(host)
+        monkeypatch.setattr(arrowing, "_workers", lambda: 1)
+        want = [c.red for c in all_free_colorings(host, red, blue)]
+        monkeypatch.setattr(arrowing, "_workers", lambda: 2)
+        assert [c.red for c in all_free_colorings(host, red, blue)] == want, (host, red, blue)
