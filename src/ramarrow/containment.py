@@ -396,7 +396,7 @@ def family_parameter(spec: GraphSpec, family: type) -> int | None:
     shorter path beside cycles shares its degrees), so it stays short.
     """
     if isinstance(spec, family):
-        return spec.n if hasattr(spec, "n") else spec.m
+        return spec.param
     p = graphs.spec_order(spec)
     if p > graphs.MAX_ORDER:
         return None

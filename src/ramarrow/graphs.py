@@ -3,10 +3,15 @@
 Vertices are 0..order-1 and adjacency is one int bitmask per vertex.  The
 64-vertex cap keeps every adjacency row in a single machine word, which is
 all the headroom the search code ever needs.
+
+Each leaf family is one row of the _FAMILIES table: its grammar letter,
+its parameter's name in errors, and its order and edges as functions of
+the parameter.  The parser, printer, spec_order and realize all read it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 MAX_ORDER = 64
@@ -21,8 +26,8 @@ class Graph6Error(ValueError):
 
 
 def _check_order(order: int) -> None:
-    if not 1 <= order <= MAX_ORDER:
-        raise SpecError(f"graph order must be in 1..{MAX_ORDER}, got {order}")
+    if type(order) is not int or not 1 <= order <= MAX_ORDER:
+        raise SpecError(f"graph order must be in 1..{MAX_ORDER}, got {order!r}")
 
 
 class Graph:
@@ -155,74 +160,65 @@ class Graph:
 
 
 def _require_positive(value: int, what: str) -> None:
-    if not isinstance(value, int) or value < 1:
+    if type(value) is not int or value < 1:
         raise SpecError(f"{what} must be a positive integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Complete:
-    n: int
+class _Leaf:
+    """A member of a graph family, named by its one positive parameter."""
 
     def __post_init__(self):
-        _require_positive(self.n, "complete-graph parameter")
+        _require_positive(self.param, _FAMILIES[type(self)].parameter)
+
+    @property
+    def param(self) -> int:
+        """The family parameter, whether its field is n or m."""
+        return getattr(self, self.__match_args__[0])
 
 
 @dataclass(frozen=True)
-class Path:
+class Complete(_Leaf):
     n: int
 
-    def __post_init__(self):
-        _require_positive(self.n, "path parameter")
+
+@dataclass(frozen=True)
+class Path(_Leaf):
+    n: int
 
 
 @dataclass(frozen=True)
-class Star:
+class Star(_Leaf):
     """K_{1,n}: one center joined to n leaves."""
 
     n: int
 
-    def __post_init__(self):
-        _require_positive(self.n, "star parameter")
-
 
 @dataclass(frozen=True)
-class Book:
+class Book(_Leaf):
     """B_m = K_2 + mK_1: m triangles sharing an edge."""
 
     m: int
 
-    def __post_init__(self):
-        _require_positive(self.m, "book parameter")
-
 
 @dataclass(frozen=True)
-class Fan:
+class Fan(_Leaf):
     """F_n = K_1 + nK_2: n triangles sharing a vertex."""
 
     n: int
 
-    def __post_init__(self):
-        _require_positive(self.n, "fan parameter")
-
 
 @dataclass(frozen=True)
-class Matching:
+class Matching(_Leaf):
     """mK_2: m disjoint edges."""
 
     m: int
 
-    def __post_init__(self):
-        _require_positive(self.m, "matching parameter")
-
 
 @dataclass(frozen=True)
-class Empty:
+class Empty(_Leaf):
     """nK_1: n isolated vertices."""
 
     n: int
-
-    def __post_init__(self):
-        _require_positive(self.n, "empty-graph parameter")
 
 
 @dataclass(frozen=True)
@@ -267,27 +263,32 @@ class Minus:
             )
 
 
-GraphSpec = (
-    Complete | Path | Star | Book | Fan | Matching | Empty | Join | Union | Copies | Minus
-)
+GraphSpec = Complete | Path | Star | Book | Fan | Matching | Empty | Join | Union | Copies | Minus
+
+
+_Family = namedtuple("_Family", "letter parameter order edges")
+_FAMILIES = {
+    Complete: _Family("K", "complete-graph parameter", lambda k: k,
+                      lambda k: [(u, v) for u in range(k) for v in range(u + 1, k)]),
+    Path: _Family("P", "path parameter", lambda k: k, lambda k: [(i, i + 1) for i in range(k - 1)]),
+    Star: _Family("S", "star parameter", lambda k: k + 1,
+                  lambda k: [(0, i) for i in range(1, k + 1)]),
+    Book: _Family("B", "book parameter", lambda k: k + 2,
+                  lambda k: [(0, 1)] + [(u, 2 + i) for i in range(k) for u in (0, 1)]),
+    Fan: _Family("F", "fan parameter", lambda k: 2 * k + 1,
+                 lambda k: [(0, i) for i in range(1, 2 * k + 1)]
+                 + [(2 * i + 1, 2 * i + 2) for i in range(k)]),
+    Matching: _Family("M", "matching parameter", lambda k: 2 * k,
+                      lambda k: [(2 * i, 2 * i + 1) for i in range(k)]),
+    Empty: _Family("E", "empty-graph parameter", lambda k: k, lambda k: []),
+}
 
 
 def spec_order(spec: GraphSpec) -> int:
     """Number of vertices the expression realizes to."""
-    if isinstance(spec, Complete):
-        return spec.n
-    if isinstance(spec, Path):
-        return spec.n
-    if isinstance(spec, Star):
-        return spec.n + 1
-    if isinstance(spec, Book):
-        return spec.m + 2
-    if isinstance(spec, Fan):
-        return 2 * spec.n + 1
-    if isinstance(spec, Matching):
-        return 2 * spec.m
-    if isinstance(spec, Empty):
-        return spec.n
+    family = _FAMILIES.get(type(spec))
+    if family is not None:
+        return family.order(spec.param)
     if isinstance(spec, (Join, Union)):
         return spec_order(spec.left) + spec_order(spec.right)
     if isinstance(spec, Copies):
@@ -297,35 +298,11 @@ def spec_order(spec: GraphSpec) -> int:
     raise SpecError(f"not a graph expression: {spec!r}")
 
 
-def _leaf_edges(spec: GraphSpec) -> list[tuple[int, int]] | None:
-    if isinstance(spec, Complete):
-        return [(u, v) for u in range(spec.n) for v in range(u + 1, spec.n)]
-    if isinstance(spec, Path):
-        return [(i, i + 1) for i in range(spec.n - 1)]
-    if isinstance(spec, Star):
-        return [(0, i) for i in range(1, spec.n + 1)]
-    if isinstance(spec, Book):
-        return [(0, 1)] + [(u, 2 + i) for i in range(spec.m) for u in (0, 1)]
-    if isinstance(spec, Fan):
-        out = [(0, i) for i in range(1, 2 * spec.n + 1)]
-        out += [(2 * i + 1, 2 * i + 2) for i in range(spec.n)]
-        return out
-    if isinstance(spec, Matching):
-        return [(2 * i, 2 * i + 1) for i in range(spec.m)]
-    if isinstance(spec, Empty):
-        return []
-    return None
-
-
 def _rows(spec: GraphSpec) -> list[int]:
     """The adjacency rows of the expression's realization, built straight from it."""
-    leaf = _leaf_edges(spec)
-    if leaf is not None:
-        rows = [0] * spec_order(spec)
-        for u, v in leaf:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return rows
+    family = _FAMILIES.get(type(spec))
+    if family is not None:
+        return list(Graph.from_edges(family.order(spec.param), family.edges(spec.param)).adj)
     if isinstance(spec, (Join, Union)):
         left, right = _rows(spec.left), _rows(spec.right)
         shift = len(left)
@@ -365,7 +342,7 @@ def realize(spec: GraphSpec) -> Graph:
 # '\' (minus), '<int>*' (copies); parentheses.  Precedence, loosest first:
 # union < join < minus < copies; binary operators associate left.
 
-_LEAVES = {"K": Complete, "P": Path, "S": Star, "B": Book, "F": Fan, "M": Matching, "E": Empty}
+_LEAVES = {family.letter: cls for cls, family in _FAMILIES.items()}
 # The binary operators, loosest first: (class, symbol, separator when printed).
 _BINARY = ((Union, "u", " u "), (Join, "+", " + "), (Minus, "\\", "\\"))
 # Each operator or parenthesis can nest an expression one level deeper, and
@@ -463,7 +440,6 @@ def parse_spec(text: str) -> GraphSpec:
     return _Parser(text).parse()
 
 
-_LEAF_LETTER = {cls: letter for letter, cls in _LEAVES.items()}
 _LEVEL = {cls: (level, sep) for level, (cls, _, sep) in enumerate(_BINARY)}
 
 
@@ -472,9 +448,8 @@ def spec_to_text(spec: GraphSpec) -> str:
 
     def fmt(node, parent_level, right_side):
         cls = type(node)
-        if cls in _LEAF_LETTER:
-            param = node.n if hasattr(node, "n") else node.m
-            return f"{_LEAF_LETTER[cls]}{param}"
+        if cls in _FAMILIES:
+            return f"{_FAMILIES[cls].letter}{node.param}"
         if cls is Copies:
             level = len(_BINARY)
             text = f"{node.count}*{fmt(node.inner, level, False)}"

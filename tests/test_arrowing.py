@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import random
+import signal
 import threading
 
 import pytest
@@ -647,6 +648,18 @@ def test_no_worker_outlives_a_split_search(split_early, monkeypatch):
 
     monkeypatch.setattr(arrowing, "_serve", fail)
     with pytest.raises(RuntimeError, match="search worker .* ended with exit code 1"):
+        arrows(realize(Complete(9)), Complete(3), Complete(4))
+    _no_child_left()
+
+
+def test_a_worker_killed_mid_result_fails_the_search(split_early, monkeypatch):
+    def killed(tree, roots, budget, first, tasks, out):
+        # a length header and part of the body it announces, then a kill
+        os.write(out, (100).to_bytes(8, "little") + b"part")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(arrowing, "_serve", killed)
+    with pytest.raises(RuntimeError, match="exit code -9"):
         arrows(realize(Complete(9)), Complete(3), Complete(4))
     _no_child_left()
 

@@ -135,6 +135,43 @@ def test_print_parse_round_trip():
         assert parse_spec(spec_to_text(spec)) == spec
 
 
+# One row per leaf family: (class, letter, name in its error, edge count of family(k)).
+_LEAF_FACTS = [
+    (Complete, "K", "complete-graph", lambda k: k * (k - 1) // 2),
+    (Path, "P", "path", lambda k: k - 1),
+    (Star, "S", "star", lambda k: k),
+    (Book, "B", "book", lambda k: 2 * k + 1),
+    (Fan, "F", "fan", lambda k: 3 * k),
+    (Matching, "M", "matching", lambda k: k),
+    (Empty, "E", "empty-graph", lambda k: 0),
+]
+
+
+@pytest.mark.parametrize("family, letter, name, edge_count", _LEAF_FACTS)
+def test_leaf_family_facts(family, letter, name, edge_count):
+    for k in range(1, 7):
+        spec = family(k)
+        assert parse_spec(f"{letter}{k}") == spec
+        assert spec_to_text(spec) == f"{letter}{k}"
+        assert spec_order(spec) == realize(spec).order
+        assert realize(spec).edge_count == edge_count(k)
+    with pytest.raises(SpecError) as info:
+        family(0)
+    assert str(info.value) == f"{name} parameter must be a positive integer, got 0"
+
+
+def test_counts_and_orders_must_be_plain_ints():
+    # a bool is an int to isinstance, but prints as True, which no parser reads
+    for build in (lambda: Complete(True), lambda: Book(False), lambda: Copies(True, Complete(2)),
+                  lambda: Path(2.0)):
+        with pytest.raises(SpecError, match="must be a positive integer"):
+            build()
+    for build in (lambda: Graph(True, [0]), lambda: Graph(3.0, [0, 0, 0]),
+                  lambda: Graph.from_edges(2.0, [(0, 1)])):
+        with pytest.raises(SpecError, match="order must be in 1..64"):
+            build()
+
+
 # --- realization -----------------------------------------------------------
 
 
