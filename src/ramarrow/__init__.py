@@ -25,7 +25,7 @@ from .graphs import (
     stats,
     longest_path_order,
 )
-from .coloring import RED, BLUE, Coloring, monochromatic_subgraph, colored_degree
+from .coloring import RED, BLUE, Coloring, monochromatic_subgraph
 from .containment import (
     CopyCapError,
     Generic,
@@ -35,7 +35,6 @@ from .containment import (
     contains_target,
     copy_through,
     enumerate_copies,
-    max_matching_size,
     max_clique_size,
 )
 from .arrowing import (

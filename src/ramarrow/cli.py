@@ -26,7 +26,7 @@ from .arrowing import (
 )
 from .coloring import RED, monochromatic_subgraph
 from .formulas import compare_with_catalog
-from .graphs import Graph6Error, SpecError, graph6_encode, parse_spec, realize
+from .graphs import SpecError, graph6_encode, parse_spec, realize
 from .verify import SCHEMA_VERSION, check_names, run_verification
 
 EXIT_PASS = 0
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
         if args.command == "numbers":
             return _cmd_numbers(args)
         return _cmd_verify(args)
-    except (_UsageError, SpecError, Graph6Error, ValueError) as exc:
+    except (_UsageError, SpecError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IndeterminateError as exc:

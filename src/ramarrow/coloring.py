@@ -40,8 +40,9 @@ class Coloring:
         """Inverse of edge_triples: every host edge must appear exactly once."""
         n, seen, red = host.order, 0, 0
         for u, v, letter in triples:
-            # range first: a negative index would wrap round
-            edge = host.edge_bits[u][v] if 0 <= u < n and 0 <= v < n else 0
+            # plain ints only (JSON true is a bool), and range first: a negative index would wrap round
+            plain = type(u) is int and type(v) is int
+            edge = host.edge_bits[u][v] if plain and 0 <= u < n and 0 <= v < n else 0
             if not edge:
                 raise ValueError(f"({u},{v}) is not an edge of the host")
             if letter not in ("R", "B"):
@@ -70,10 +71,3 @@ def monochromatic_subgraph(coloring: Coloring, color: int) -> Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return Graph._raw(host.order, tuple(rows))
-
-
-def colored_degree(coloring: Coloring, v: int, color: int) -> int:
-    """Number of edges of the given color (RED or BLUE) incident to v."""
-    if not 0 <= v < coloring.host.order:
-        raise ValueError(f"vertex {v} out of range")
-    return monochromatic_subgraph(coloring, color).degree(v)

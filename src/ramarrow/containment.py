@@ -113,14 +113,6 @@ def _has_matching(g: Graph, size: int) -> bool:
     return _matching_within(g.adj, (1 << g.order) - 1, size) is not None
 
 
-def max_matching_size(g: Graph) -> int:
-    """The least k with no matching of k + 1 edges."""
-    k = 0
-    while _has_matching(g, k + 1):
-        k += 1
-    return k
-
-
 # ---------------------------------------------------------------------------
 # Cliques
 

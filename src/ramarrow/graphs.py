@@ -125,14 +125,6 @@ class Graph:
             yield low.bit_length() - 1
             row ^= low
 
-    def add_edge(self, u: int, v: int) -> "Graph":
-        if u == v:
-            raise SpecError("cannot add a self-loop")
-        rows = list(self.adj)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph._raw(self.order, tuple(rows))
-
     def induced(self, vertices) -> "Graph":
         """Subgraph induced by the given vertices, relabeled 0..k-1 in sorted order."""
         vs = sorted(set(vertices))

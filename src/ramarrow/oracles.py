@@ -11,7 +11,7 @@ correct.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from .coloring import Coloring
 from .graphs import Graph
@@ -125,28 +125,6 @@ def naive_longest_path(g: Graph) -> int:
 
     for start in range(g.order):
         walk(start, 1 << start, 1)
-    return best
-
-
-def naive_max_matching(g: Graph) -> int:
-    """Maximum matching by checking every subset of the edge list."""
-    edges = g.edges
-    best = 0
-    for size in range(len(edges), 0, -1):
-        if size <= best:
-            break
-        for subset in combinations(edges, size):
-            seen = 0
-            ok = True
-            for u, v in subset:
-                bits = 1 << u | 1 << v
-                if seen & bits:
-                    ok = False
-                    break
-                seen |= bits
-            if ok:
-                best = size
-                break
     return best
 
 

@@ -386,7 +386,7 @@ def test_edge_monotonicity_of_arrowing():
             if not host.has_edge(u, v)
         ]
         for u, v in non_edges:
-            assert arrows(host.add_edge(u, v), red, blue).arrows
+            assert arrows(Graph.from_edges(host.order, host.edges + ((u, v),)), red, blue).arrows
 
 
 def test_budget_exhaustion_is_indeterminate():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ramarrow import oracles
-from ramarrow.coloring import BLUE, RED, Coloring, colored_degree, monochromatic_subgraph
+from ramarrow.coloring import BLUE, RED, Coloring, monochromatic_subgraph
 from ramarrow.constructions import odd_clique_pair
 from ramarrow.graphs import Complete, Empty, Join, Minus, Path, Union, realize
 
@@ -40,19 +40,19 @@ def test_monochromatic_partial_assignment():
 def test_colored_degree_examples():
     host = realize(Complete(5))
     col = _full(host, BLUE)
-    assert all(colored_degree(col, v, BLUE) == 4 for v in range(5))
-    assert all(colored_degree(col, v, RED) == 0 for v in range(5))
+    assert all(monochromatic_subgraph(col, BLUE).degree(v) == 4 for v in range(5))
+    assert all(monochromatic_subgraph(col, RED).degree(v) == 0 for v in range(5))
 
     pair = odd_clique_pair(3, 1)
-    assert all(colored_degree(pair, v, RED) == 2 for v in range(6))
+    assert all(monochromatic_subgraph(pair, RED).degree(v) == 2 for v in range(6))
 
     host = realize(Minus(Complete(9), Path(4)))
     col = _full(host, RED)
     for interior in (1, 2):
         col2 = Coloring(host, col.red ^ 1 << host.edge_index[(interior, 5)])
-        assert colored_degree(col2, interior, BLUE) == 1
-        total = colored_degree(col2, interior, RED) + colored_degree(col2, interior, BLUE)
-        assert total == host.degree(interior) == 6
+        red, blue = monochromatic_subgraph(col2, RED), monochromatic_subgraph(col2, BLUE)
+        assert blue.degree(interior) == 1
+        assert red.degree(interior) + blue.degree(interior) == host.degree(interior) == 6
 
 
 def test_color_degree_splits_host_degree():
@@ -60,9 +60,9 @@ def test_color_degree_splits_host_degree():
     for _ in range(50):
         host = oracles.random_graph(rng, rng.randint(2, 9), rng.random())
         col = _random(rng, host)
+        red, blue = monochromatic_subgraph(col, RED), monochromatic_subgraph(col, BLUE)
         for v in range(host.order):
-            parts = colored_degree(col, v, RED) + colored_degree(col, v, BLUE)
-            assert parts == host.degree(v)
+            assert red.degree(v) + blue.degree(v) == host.degree(v)
 
 
 def test_sides_partition_host_edges_when_complete():
@@ -116,7 +116,8 @@ def test_errors():
     with pytest.raises(ValueError, match="not an edge"):
         Coloring.from_edge_triples(realize(Minus(Complete(3), Path(2))), triples)
     # vertex -1 would index vertex 2 of the edge table
-    for bad in ([-1, 0, "R"], [0, -1, "R"], [0, 3, "R"]):
+    # so would a bool, and a float or str vertex is not an edge either
+    for bad in ([-1, 0, "R"], [0, -1, "R"], [0, 3, "R"], [0, True, "R"], [0, 1.0, "R"], [0, "1", "R"]):
         with pytest.raises(ValueError, match="not an edge"):
             Coloring.from_edge_triples(host, triples[:2] + [bad])
     with pytest.raises(ValueError, match="invalid color letter"):
@@ -125,8 +126,6 @@ def test_errors():
     with pytest.raises(AttributeError):
         col.red = 1
     with pytest.raises(ValueError):
-        colored_degree(col, 7, RED)
-    with pytest.raises(ValueError):
-        colored_degree(col, 0, 2)
+        monochromatic_subgraph(col, 2)
     with pytest.raises(ValueError):
         monochromatic_subgraph(col, -1)
