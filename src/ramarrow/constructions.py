@@ -132,9 +132,7 @@ def enumerate_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> 
     """One representative per color-preserving isomorphism class.
 
     Each class keeps the first of its colorings that all_free_colorings
-    yields.  The list is sorted by canonical_coloring_key, so its order
-    follows the key's values and can move when the key changes; the set of
-    representatives does not.
+    yields, and the classes come in the order the search first reaches them.
 
     Only a coloring outside every known twin orbit gets a key: each keyed
     coloring's orbit under the swaps of host twins (_twin_swaps) goes into
@@ -162,7 +160,7 @@ def enumerate_free_colorings(host: Graph, red: TargetKind, blue: TargetKind) -> 
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)
-    return [representatives[key] for key in sorted(representatives)]
+    return list(representatives.values())
 
 
 # ---------------------------------------------------------------------------

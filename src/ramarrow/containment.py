@@ -17,15 +17,16 @@ edge i (canonical order) is in it.  Each enumerator ORs a copy together
 from Graph.edge_bits as its DFS goes and emits each copy once, so there is
 no dedup set: a clique in increasing vertex order, a path from its lower
 end, a star from its one hub, a matching or fan's disjoint parts in
-increasing index order, a book from its one spine.  A complete leaf is
-listed as a clique, since S1, B1 and F1 have more than one hub or spine.
+increasing index order, a book from its one spine; the list keeps this
+walk order.  A complete leaf is listed as a clique, since S1, B1 and F1
+have more than one hub or spine.
 A generic target's core is listed through the one embedding per copy that
 its symmetry-breaking bounds, at most one lower bound per pattern vertex,
 let through (_symmetry_breaking).  The walk that finds the bounds reads
 off |Aut| of the core, which counts the copies in a complete host before
 any is built, so a count past the cap raises at once.
 
-Both path searches skip a connected component with fewer vertices than
+Every path search skips a connected component with fewer vertices than
 the path.  The existence check also remembers, for one call, the dead
 ends it has walked: a set of visited vertices and the vertex the path
 stopped at, which fix the length still to go.  The rooted path search
@@ -184,27 +185,28 @@ def _path_exists(adj, v: int, visited: int, remaining: int, dead: set[int]) -> b
     return False
 
 
-def _has_path(g: Graph, n: int) -> bool:
-    """True iff g has a path on n vertices.
+def _path_starts(adj, order: int, n: int):
+    """Yield, lowest first, each vertex whose connected component has n vertices or more.
 
-    Each start first walks its component until it reaches n vertices; a
-    component that runs out first is too small, and all its vertices are
-    skipped.  The starts share one set of dead states.
+    A component walk stops at n vertices; one that runs out first is skipped whole.
     """
-    adj = g.adj
-    unseen = (1 << g.order) - 1 if n <= g.order else 0
-    dead: set[int] = set()
+    unseen = (1 << order) - 1 if n <= order else 0
     while unseen:
         low = unseen & -unseen
-        start = low.bit_length() - 1
-        reach = graphs.component(adj, start, n)
+        reach = graphs.component(adj, low.bit_length() - 1, n)
         if reach.bit_count() < n:
             unseen &= ~reach
-        elif _path_exists(adj, start, low, n - 1, dead):
-            return True
         else:
+            yield low.bit_length() - 1
             unseen ^= low
-    return False
+
+
+def _has_path(g: Graph, n: int) -> bool:
+    """True iff g has a path on n vertices; the starts share one set of dead states."""
+    adj = g.adj
+    dead: set[int] = set()
+    return any(_path_exists(adj, start, 1 << start, n - 1, dead)
+               for start in _path_starts(adj, g.order, n))
 
 
 def _path_tail(adj, u: int, end: int, visited: int, left: int) -> list[tuple[int, int]] | None:
@@ -513,7 +515,7 @@ def _star_copies(bits, n: int, emit) -> None:
 def _clique_copies(adj, bits, m: int, emit, chosen: list[int], mask: int, cand: int) -> None:
     """Emit every clique on m vertices that adds vertices of cand to chosen, in increasing order."""
     last = len(chosen) + 1 == m
-    while cand:
+    while cand and len(chosen) + cand.bit_count() >= m:
         low = cand & -cand
         cand ^= low
         v = low.bit_length() - 1
@@ -600,10 +602,10 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
     """All distinct host subgraphs isomorphic to the target, as edge bitmasks.
 
     Bit i of a copy is set when host edge i (canonical order) is in it; an
-    edgeless target has the single copy 0.  Deterministic: the result is
-    sorted.  Raises CopyCapError past the cap.  On a complete host every
-    target's copies are counted first, so there it raises before
-    enumerating anything.
+    edgeless target has the single copy 0, and the copies come in walk
+    order, a fixed function of host and target.  Raises CopyCapError past
+    the cap.  On a complete host every target's copies are counted first,
+    so there it raises before enumerating anything.
     """
     pattern = target_graph(target)
     n, p, k = host.order, pattern.order, pattern.edge_count
@@ -638,7 +640,7 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
         _star_copies(bits, leaf.n, emit)
     elif isinstance(leaf, Path):
         # a path is emitted from its lower end only
-        for start in range(n):
+        for start in _path_starts(adj, n, leaf.n):
             _path_copies_from(adj, bits, emit, start, 1 << start, 0, leaf.n - 1, -(2 << start))
     elif isinstance(leaf, Matching):
         _disjoint_copies([(1 << u | 1 << v, 1 << i) for i, (u, v) in enumerate(host.edges)],
@@ -647,5 +649,4 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
         _book_copies(host, bits, leaf.m, emit)
     else:
         _fan_copies(host, bits, leaf.n, emit)
-    copies.sort()
     return copies

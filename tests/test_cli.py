@@ -349,6 +349,14 @@ def test_numbers_reads_the_catalog_for_any_spelling(capsys):
     assert outputs["critical"]["closed_form_source"] == "path-critical star-clique"
 
 
+def test_numbers_path_critical_scan_of_a_large_clique_ends(capsys):
+    # critical_number asks about K64\P2, which holds no K64; the clique walk
+    # must stop once too few candidates are left, not try every partial clique
+    code, out, _ = run_cli(capsys, "numbers", "--red", "K64", "--blue", "K2", "--max-r", "64")
+    assert code == 0
+    assert "R(K64, K2) = 64" in out
+
+
 def test_numbers_edgeless_target(capsys):
     # K1 already holds a red K1, so R(K1, K3) = 1
     code, out, _ = run_cli(capsys, "numbers", "--red", "K1", "--blue", "K3")

@@ -298,8 +298,8 @@ def test_canonical_key_is_invariant_when_cells_hold_several_orbits(lengths):
 def test_free_coloring_representatives_are_pinned():
     # free_coloring_representatives.json: the sorted red masks of each
     # question's representatives.  Each class keeps its first coloring in the
-    # search order, so the set of masks does not depend on the key; only the
-    # order of enumerate_free_colorings output may move with it.
+    # search order, and enumerate_free_colorings lists the classes in the
+    # order the search reaches them, so neither depends on the key's values.
     pinned = json.loads((DATA / "free_coloring_representatives.json").read_text())
     for question, masks in pinned.items():
         host, red, blue = (parse_spec(text) for text in question.split())
@@ -312,7 +312,7 @@ def _one_key_per_coloring(host: Graph, red, blue) -> list[Coloring]:
     representatives = {}
     for coloring in all_free_colorings(host, red, blue):
         representatives.setdefault(canonical_coloring_key(coloring), coloring)
-    return [representatives[key] for key in sorted(representatives)]
+    return list(representatives.values())
 
 
 # Complete hosts, where the twin swaps generate every automorphism, and hosts
@@ -375,17 +375,18 @@ def test_k3_k4_classes_on_complete_hosts(n, labeled, classes):
     assert len(enumerate_free_colorings(host, Complete(3), Complete(4))) == classes
 
 
-def test_free_colorings_are_listed_alike_when_split(monkeypatch):
+def test_free_colorings_are_listed_alike_when_split(monkeypatch, copy_order):
     # the colorings behind the pinned representatives and the K3K4 counts,
-    # with every search split past its third node over two workers, equal
-    # the sequential lists
+    # with every search split past its third node over two workers and its
+    # copies taken in another order, equal the sequential lists
     pinned = json.loads((DATA / "free_coloring_representatives.json").read_text())
     questions = [[parse_spec(text) for text in question.split()] for question in pinned]
     questions += [[Complete(n), Complete(3), Complete(4)] for n, _, _ in K3K4_CLASSES]
+    questions = [(realize(host), red, blue) for host, red, blue in questions]
     monkeypatch.setattr(arrowing, "_SPLIT_GATE", 3)
-    for host, red, blue in questions:
-        host = realize(host)
-        monkeypatch.setattr(arrowing, "_workers", lambda: 1)
-        want = [c.red for c in all_free_colorings(host, red, blue)]
-        monkeypatch.setattr(arrowing, "_workers", lambda: 2)
-        assert [c.red for c in all_free_colorings(host, red, blue)] == want, (host, red, blue)
+    monkeypatch.setattr(arrowing, "_workers", lambda: 1)
+    wants = [[c.red for c in all_free_colorings(*question)] for question in questions]
+    monkeypatch.setattr(arrowing, "_workers", lambda: 2)
+    copy_order()
+    for question, want in zip(questions, wants):
+        assert [c.red for c in all_free_colorings(*question)] == want, question

@@ -135,6 +135,14 @@ def test_path_searches_skip_components_that_are_too_small(spec, longest):
         assert any(copy is not None for copy in rooted) == (n == longest)
 
 
+def test_copy_walks_end_at_dead_ends():
+    # the clique walk stops once too few candidates are left, and the path
+    # walk starts only in a component large enough for the path; without
+    # these bounds the walks would not end in any useful time
+    assert enumerate_copies(realize(parse_spec("K40\\P2")), Complete(40)) == []
+    assert enumerate_copies(realize(parse_spec("K12 u K12")), Path(13)) == []
+
+
 def test_rooted_path_copies_are_pinned():
     # the rooted path search skips only walks that cannot succeed, so it must
     # return this same first copy, edges in the same order, on every edge in
