@@ -183,8 +183,8 @@ def _branch_order(host: Graph, deterministic: bool) -> list[int]:
     return sorted(range(len(edges)), key=key.__getitem__)
 
 
-def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, copy_cap=None,
-                    first=False):
+def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None,
+                    copy_cap=DEFAULT_COPY_CAP, first=False):
     """An iterator over each free coloring of the host as its red edge mask, in DFS order.
 
     An explicit-stack DFS over the edges in branch order, with unit
@@ -214,8 +214,7 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
     pre-pass the copies have distinct edges and a step that colors any edge
     besides its own conflicts at once.
 
-    When either target has more than copy_cap copies (DEFAULT_COPY_CAP,
-    read at call time, when it is None), both sides learn
+    When either target has more than copy_cap copies, both sides learn
     their clauses instead: every state the search reaches has no
     monochromatic copy, so coloring e with c (by a decision or by
     propagation) asks copy_through for a copy through e in the grown class.
@@ -238,12 +237,6 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
     m = len(edges)
     bit = [1 << e for e in range(m)]
     targets = (red, blue)
-    cap = DEFAULT_COPY_CAP if copy_cap is None else copy_cap
-    try:
-        copies = [enumerate_copies(host, t, cap) for t in targets]
-    except CopyCapError:
-        stats.propagation_mode = "learned"
-        copies = None
     sizes = []
     for t in targets:
         p = target_graph(t)
@@ -252,6 +245,11 @@ def _free_colorings(host, red, blue, stats, *, order, symmetric, budget=None, co
         if not k and p.order <= n:
             return iter(())
         sizes.append(k)
+    try:
+        copies = [enumerate_copies(host, t, copy_cap) for t in targets]
+    except CopyCapError:
+        stats.propagation_mode = "learned"
+        copies = None
     learning = copies is None
     if learning:
         copies = [[], []]
@@ -639,7 +637,7 @@ def arrows(
     *,
     budget: int | None = None,
     deterministic: bool = False,
-    copy_cap: int | None = None,
+    copy_cap: int = DEFAULT_COPY_CAP,
 ) -> ArrowingResult:
     """Decide host -> (red, blue).
 
@@ -648,8 +646,8 @@ def arrows(
     counterexample is a complete free coloring, re-verified by containment
     before it is returned.  In deterministic mode the counterexample is the
     lexicographically least free assignment in canonical edge order (red
-    below blue).  A copy_cap of None stands for DEFAULT_COPY_CAP as it is
-    at call time.
+    below blue).  Past copy_cap copies of either target, the search learns
+    its clauses (see _free_colorings).
     """
     t0 = time.perf_counter()
     stats = SearchStats()
@@ -783,8 +781,8 @@ def export_dimacs(host: Graph, red: TargetKind, blue: TargetKind) -> str:
     blue-target copy an all-positive clause.  The formula is satisfiable
     iff the host does NOT arrow.
     """
-    red_copies = enumerate_copies(host, red, DEFAULT_COPY_CAP)
-    blue_copies = enumerate_copies(host, blue, DEFAULT_COPY_CAP)
+    red_copies = enumerate_copies(host, red)
+    blue_copies = enumerate_copies(host, blue)
     lines = [
         "c arrowing CNF: satisfiable iff the host admits a free coloring",
         f"c host: {host.order} vertices, {host.edge_count} edges",

@@ -2,15 +2,15 @@
 
 Targets are plain graph expressions, and a copy need not be induced.
 contains_target, copy_through (the edges of one copy that uses edge uv)
-and enumerate_copies all serve a target by its leaf (_leaf): a member of
-a detected family (Complete, Star, Path, Matching, Book, Fan) serves
-itself, any other spec the first member, Complete first, isomorphic to it
-(K1+P3 is B2), and a Generic target has none.  Each family has its own
-code for each query; a target with no leaf falls back to backtracking
-subgraph isomorphism with degree pruning, one explicit-stack loop over
-the pattern's vertices.  The arrowing search asks copy_through only after
-coloring uv when it learns its copy clauses, since a color class with no
-copy can only gain one through its new edge.
+and enumerate_copies all serve a target by its leaf (_leaf): the first
+member of Complete, Star, Path, Matching, Book or Fan isomorphic to it,
+members too (S1 is K2, F1 is K3, P3 is S2, K1+P3 is B2), and a Generic
+target has none.  Each family has its own code for each query; a target
+with no leaf falls back to backtracking subgraph isomorphism with degree
+pruning, one explicit-stack loop over the pattern's vertices.  The
+arrowing search asks copy_through only after coloring uv when it learns
+its copy clauses, since a color class with no copy can only gain one
+through its new edge.
 
 enumerate_copies gives each copy as an int edge mask, bit i set when host
 edge i (canonical order) is in it.  Each enumerator ORs a copy together
@@ -18,8 +18,7 @@ from Graph.edge_bits as its DFS goes and emits each copy once, so there is
 no dedup set: a clique in increasing vertex order, a path from its lower
 end, a star from its one hub, a matching or fan's disjoint parts in
 increasing index order, a book from its one spine; the list keeps this
-walk order.  A complete leaf is listed as a clique, since S1, B1 and F1
-have more than one hub or spine.
+walk order.
 A generic target's core is listed through the one embedding per copy that
 its symmetry-breaking bounds, at most one lower bound per pattern vertex,
 let through (_symmetry_breaking).  The walk that finds the bounds reads
@@ -402,21 +401,20 @@ def family_parameter(spec: GraphSpec, family: type) -> int | None:
     return k if same and _subgraph_exists(graph, member) else None
 
 
+@lru_cache(maxsize=256, typed=True)
 def _leaf(target: TargetKind) -> GraphSpec | None:
-    """The detected family member that serves the target, or None.
+    """The first detected family member (Complete first) isomorphic to the target, or None.
 
-    A member serves itself; any other spec is served by the first member
-    (Complete first) isomorphic to it, and a Generic target by none.
+    Members are no exception (S1 is K2, P3 is S2).  A target that is its own
+    leaf comes back itself, so that later calls hit this cache on identity.
+    The cache is typed because B2, F2 and M2 hash alike, and a collision
+    costs two Python __eq__ calls on every hit.
     """
-    if isinstance(target, DETECTED_FAMILIES):
-        return target
-    return None if isinstance(target, Generic) else _first_member(target)
-
-
-@lru_cache(maxsize=256)
-def _first_member(spec: GraphSpec) -> GraphSpec | None:
-    return next((family(k) for family in DETECTED_FAMILIES
-                 if (k := family_parameter(spec, family)) is not None), None)
+    if isinstance(target, Generic):
+        return None
+    leaf = next((family(k) for family in DETECTED_FAMILIES
+                 if (k := family_parameter(target, family)) is not None), None)
+    return target if leaf == target else leaf
 
 
 def contains_target(g: Graph, target: TargetKind) -> bool:
@@ -474,7 +472,7 @@ def copy_through(g: Graph, target: TargetKind, u: int, v: int) -> list[tuple[int
                 return [(hub, w) for w in leaves]
         return None
     if isinstance(leaf, Path):
-        return _path_through(adj, u, v, leaf.n) if leaf.n >= 2 else None
+        return _path_through(adj, u, v, leaf.n)
     if isinstance(leaf, Matching):
         rest = _matching_within(adj, ((1 << g.order) - 1) & ~(1 << u | 1 << v), leaf.m - 1)
         return None if rest is None else rest + [(u, v)]
@@ -633,8 +631,7 @@ def enumerate_copies(host: Graph, target: TargetKind, cap: int = DEFAULT_COPY_CA
             for a, b in pedges:
                 mask |= bits[emb[a]][emb[b]]
             emit(mask)
-    elif k == p * (p - 1) // 2:
-        # as a clique, also S1, B1 and F1, which have more than one hub or spine
+    elif isinstance(leaf, Complete):
         _clique_copies(adj, bits, p, emit, [], 0, (1 << n) - 1)
     elif isinstance(leaf, Star):
         _star_copies(bits, leaf.n, emit)

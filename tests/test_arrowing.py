@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import os
 import pathlib
@@ -122,16 +123,29 @@ def test_copy_cap():
         enumerate_copies(k7, Path(7), cap=2519)
 
 
-def test_default_copy_cap_is_read_at_call_time(monkeypatch):
-    # the search and the DIMACS export agree on the patched cap: K6 has 20 triangles
-    monkeypatch.setattr(arrowing, "DEFAULT_COPY_CAP", 5)
-    k6 = realize(Complete(6))
-    result = arrows(k6, Complete(3), Complete(3))
+def test_arrows_and_export_dimacs_share_one_default_cap():
+    # export_dimacs lists copies at enumerate_copies' default cap
+    assert inspect.signature(arrows).parameters["copy_cap"].default == arrowing.DEFAULT_COPY_CAP
+    assert inspect.signature(enumerate_copies).parameters["cap"].default == arrowing.DEFAULT_COPY_CAP
+    # K30 holds C(30, 10) = 30,045,015 copies of K10
+    with pytest.raises(CopyCapError, match=f"more than {arrowing.DEFAULT_COPY_CAP} target copies"):
+        export_dimacs(realize(Complete(30)), Complete(10), Complete(10))
+    k6 = realize(Complete(6))  # 20 triangles
+    result = arrows(k6, Complete(3), Complete(3), copy_cap=5)
     assert result.stats.propagation_mode == "learned"
     assert result.arrows
-    with pytest.raises(CopyCapError):
-        export_dimacs(k6, Complete(3), Complete(3))
     assert arrows(k6, Complete(3), Complete(3), copy_cap=20).stats.propagation_mode == "clauses"
+
+
+def test_an_edgeless_target_that_fits_ends_the_search_before_any_copy_is_listed(monkeypatch):
+    # K14\P2 holds more P9 copies than the default cap, but E1 fits in every color class
+    def refuse(*args, **kwargs):
+        raise AssertionError("copies listed")
+
+    monkeypatch.setattr(arrowing, "enumerate_copies", refuse)
+    result = arrows(realize(parse_spec("K14\\P2")), parse_spec("E1"), Path(9))
+    assert result.arrows
+    assert (result.stats.nodes, result.stats.propagation_mode) == (0, "clauses")
 
 
 def test_copy_counts_on_complete_hosts_have_a_closed_form():

@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-import ramarrow.arrowing as arrowing
 import ramarrow.cli as cli
 import ramarrow.containment as containment
 import ramarrow.formulas as formulas
@@ -128,16 +127,15 @@ def test_exit_code_verify_check_indeterminate(capsys):
     assert report["passed"] is False
 
 
-def test_exit_code_dimacs_past_copy_cap(tmp_path, capsys, monkeypatch):
-    # the real export at a small cap stands in for K30 -> (K10, K10) at the default cap
-    monkeypatch.setattr(arrowing, "DEFAULT_COPY_CAP", 5)
+def test_exit_code_dimacs_past_copy_cap(tmp_path, capsys):
+    # K30 holds C(30, 10) copies of K10, counted before any is listed, so this is quick
     cnf = tmp_path / "x.cnf"
     code, out, err = run_cli(
-        capsys, "arrows", "--host", "K6", "--red", "K3", "--blue", "K3", "--dimacs", str(cnf)
+        capsys, "arrows", "--host", "K30", "--red", "K10", "--blue", "K10", "--dimacs", str(cnf)
     )
     assert code == 3
     assert out == ""
-    assert err == "usage error: --dimacs: more than 5 target copies in the host\n"
+    assert err == "usage error: --dimacs: more than 2000000 target copies in the host\n"
     assert not cnf.exists()
 
 

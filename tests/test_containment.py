@@ -151,11 +151,12 @@ def test_rooted_path_copies_are_pinned():
     digest = hashlib.sha256()
     for _ in range(200):
         g = oracles.random_graph(rng, rng.randint(2, 11), rng.uniform(0.1, 0.9))
-        for n in range(3, 10):
+        # P3 is served as S2, so the path search serves P4 and longer
+        for n in range(4, 10):
             for u, v in g.edges:
                 found = (copy_through(g, Path(n), u, v), copy_through(g, Path(n), v, u))
                 digest.update(repr(found).encode())
-    assert digest.hexdigest() == "4a87b2607f863eca131caf9e738d597bc228a9549eb0b9abc7c298db446cb3f4"
+    assert digest.hexdigest() == "b4cda0f0eb61a8c0e7322d8f31a13d5a215ea88a19f8e51828b75fb0e5910a1f"
 
 
 def test_copy_through_rejects_a_non_edge():
@@ -176,7 +177,10 @@ def test_detected_families_never_use_the_generic_search(monkeypatch):
     # other spellings of family members, each with the leaf its graph is
     respelled = [(parse_spec(spec), leaf) for spec, leaf in (
         ("K4\\P4", Path(4)), ("K1+E3", Star(3)), ("E1+2*K2", Fan(2)),
-        ("K1+P3", Book(2)), ("2*K2", Matching(2)), ("K2+K1", Complete(3)))]
+        ("K1+P3", Book(2)), ("2*K2", Matching(2)), ("K2+K1", Complete(3)),
+        # family members too: each is served by the first member isomorphic to it
+        ("S1", Complete(2)), ("P2", Complete(2)), ("M1", Complete(2)),
+        ("B1", Complete(3)), ("F1", Complete(3)), ("P3", Star(2)))]
     # a complete host counts each target's copies from its pattern's
     # automorphisms, a walk of pattern into pattern made once per pattern and
     # cached, and a target's family is read off its pattern by one cached
@@ -203,7 +207,9 @@ def test_detected_families_never_use_the_generic_search(monkeypatch):
         assert enumerate_copies(host, spec) == enumerate_copies(host, leaf), spec
         for u, v in host.edges:
             assert copy_through(host, spec, u, v) == copy_through(host, leaf, u, v), (spec, u, v)
-        spelled, named = (arrows(host, t, Star(2), copy_cap=0) for t in (spec, leaf))
+        # arrows fixes the first edge RED only when red == blue as written, so
+        # the blue target is one that no row's leaf equals
+        spelled, named = (arrows(host, t, Path(5), copy_cap=0) for t in (spec, leaf))
         assert spelled.stats.propagation_mode == named.stats.propagation_mode == "learned"
         assert (spelled.verdict, spelled.counterexample, spelled.stats.nodes) == (
             named.verdict, named.counterexample, named.stats.nodes), spec
@@ -253,6 +259,23 @@ def test_target_spec_round_trip():
     assert target_from_spec(Star(3)) == Star(3)
     assert target_from_spec(Fan(2)) == Fan(2)
     assert target_from_spec(Matching(4)) == Matching(4)
+    assert target_from_spec(Star(1)) == Complete(2)
+    assert target_from_spec(Path(3)) == Star(2)
+    assert target_from_spec(Book(1)) == Complete(3)
+
+
+def test_every_member_is_served_by_its_first_isomorphic_member():
+    # a graph holds a copy of another with its order and edge count only when
+    # the two are isomorphic; the brute-force check shares no code with
+    # family_parameter.  members lists each family in DETECTED_FAMILIES order.
+    members = [family(k) for family in containment.DETECTED_FAMILIES for k in range(1, 7)
+               if realize(family(k)).order <= 6]
+    for member in members:
+        g = realize(member)
+        first = next(other for other in members
+                     if (h := realize(other)).order == g.order and h.edge_count == g.edge_count
+                     and oracles.brute_contains(g, h))
+        assert target_from_spec(member) == first, member
 
 
 def test_symmetry_breaking_keeps_one_embedding_per_copy():
