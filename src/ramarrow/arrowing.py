@@ -64,7 +64,7 @@ from .containment import (
     target_label,
     target_to_spec,
 )
-from .graphs import Complete, Graph, Matching, Minus, Path, realize
+from .graphs import MAX_ORDER, Complete, Graph, Matching, Minus, Path, realize, spec_order
 
 
 class IndeterminateError(RuntimeError):
@@ -106,22 +106,15 @@ class DeletionFamily(Enum):
     CLIQUE = "clique"
 
     def deletion_spec(self, index: int):
-        if self is DeletionFamily.PATH:
-            return Path(index)
-        if self is DeletionFamily.MATCHING:
-            return Matching(index)
-        return Complete(index)
-
-    def first_index(self) -> int:
-        # index 1 deletes no edge for PATH/CLIQUE, so the scan starts at 2
-        return 1 if self is DeletionFamily.MATCHING else 2
-
-    def max_index(self, r: int) -> int:
-        return r // 2 if self is DeletionFamily.MATCHING else r
+        return _DELETED[self](index)
 
     @property
     def index_unit(self) -> str:
         return "edges" if self is DeletionFamily.MATCHING else "vertices"
+
+
+_DELETED = {DeletionFamily.PATH: Path, DeletionFamily.MATCHING: Matching,
+            DeletionFamily.CLIQUE: Complete}
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +682,7 @@ def _arrows_or_raise(host: Graph, red: TargetKind, blue: TargetKind, budget, wha
 def ramsey_number(
     red: TargetKind,
     blue: TargetKind,
-    max_r: int = 64,
+    max_r: int = MAX_ORDER,
     *,
     budget: int | None = None,
 ) -> int:
@@ -700,8 +693,8 @@ def ramsey_number(
     checks it against the catalog.  The node budget applies to each host's
     search, not to the scan.
     """
-    if max_r > 64:
-        raise ValueError("max_r is capped at 64")
+    if max_r > MAX_ORDER:
+        raise ValueError(f"max_r is capped at {MAX_ORDER}")
     if max_r < 1:
         raise ValueError(f"max_r must be at least 1, got {max_r}")
     start = 1
@@ -728,22 +721,23 @@ def critical_number(
     """Largest family index whose deletion from K_r preserves arrowing.
 
     r is required; the paper's critical numbers take r = R(red, blue), which
-    ramsey_number gives.  Returns 0 when even the smallest one-edge deletion
-    (P_2 / M_1 / K_2) breaks arrowing while K_r itself arrows, and raises
-    ValueError when K_r does not arrow (r below R), which is searched only
-    when the first deletion fails or K_r has none.  Deleting family member i+1 removes a
-    superset of the edges of member i under the canonical placement, so the
-    upward scan stops at the first failure.  The node budget applies to
-    each host's search, not to the scan.
+    ramsey_number gives.  The scan walks the family members that fit in K_r,
+    skipping one on a single vertex (it deletes no edge), and stops at the
+    first failure: deleting member i+1 removes a superset of the edges of
+    member i under the canonical placement.  Returns 0 when the first
+    deletion (P_2 / M_1 / K_2) breaks arrowing while K_r itself arrows, and
+    raises ValueError when K_r does not arrow (r below R), which is searched
+    only when the first deletion fails or K_r has none.  The node budget
+    applies to each host's search, not to the scan.
     """
     last = 0
-    index = family.first_index()
-    while index <= family.max_index(r):
-        host = realize(Minus(Complete(r), family.deletion_spec(index)))
-        if not _arrows_or_raise(host, red, blue, budget,
-                                f"K_{r} minus {family.value} index {index}"):
-            break
-        last = index
+    index = 1
+    while spec_order(deleted := family.deletion_spec(index)) <= r:
+        if spec_order(deleted) > 1:
+            if not _arrows_or_raise(realize(Minus(Complete(r), deleted)), red, blue, budget,
+                                    f"K_{r} minus {family.value} index {index}"):
+                break
+            last = index
         index += 1
     if not last and not _arrows_or_raise(realize(Complete(r)), red, blue, budget, f"K_{r}"):
         raise ValueError(f"K_{r} does not arrow ({target_label(red)}, {target_label(blue)}), "
@@ -796,5 +790,5 @@ def export_dimacs(host: Graph, red: TargetKind, blue: TargetKind) -> str:
     for sign, copies in ((-1, red_copies), (1, blue_copies)):
         clauses = sorted([e for e in range(mask.bit_length()) if mask >> e & 1] for mask in copies)
         for ids in clauses:
-            lines.append(" ".join(str(sign * (e + 1)) for e in ids) + " 0")
+            lines.append(" ".join([str(sign * (e + 1)) for e in ids] + ["0"]))
     return "\n".join(lines) + "\n"

@@ -172,7 +172,7 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
 
 
 def naive_dpll(clauses: list[list[int]]) -> bool:
-    """Plain recursive DPLL with unit propagation; returns satisfiability."""
+    """Plain recursive DPLL with unit propagation; satisfiability (none with an empty clause)."""
 
     def simplify(cls, lit):
         out = []
@@ -202,4 +202,4 @@ def naive_dpll(clauses: list[list[int]]) -> bool:
                 return True
         return False
 
-    return solve([list(c) for c in clauses])
+    return all(clauses) and solve([list(c) for c in clauses])

@@ -36,6 +36,7 @@ from ramarrow.containment import (
 from ramarrow.graphs import (
     Book,
     Complete,
+    Empty,
     Fan,
     Graph,
     Matching,
@@ -679,6 +680,15 @@ def test_a_worker_killed_mid_result_fails_the_search(split_early, monkeypatch):
     _no_child_left()
 
 
+def test_workers_that_walk_nothing_fail_the_search(split_early, monkeypatch):
+    # each worker exits 0 without taking a subtree, so none is left to wait on
+    monkeypatch.setattr(arrowing, "_serve", lambda *args: None)
+    with pytest.raises(RuntimeError,
+                       match="^search workers exited before every subtree was walked$"):
+        arrows(realize(Complete(9)), Complete(3), Complete(4))
+    _no_child_left()
+
+
 def test_searches_that_must_not_fork(monkeypatch):
     def forbidden():
         raise AssertionError("forked")
@@ -764,6 +774,33 @@ def test_critical_other_families():
     assert DeletionFamily.MATCHING.index_unit == "edges"
     assert DeletionFamily.PATH.index_unit == "vertices"
     assert DeletionFamily.MATCHING.deletion_spec(2) == Matching(2)
+
+
+def test_deletion_scan_asks_about_each_member_that_fits(monkeypatch):
+    # index i deletes the family's i-th member; a path or clique on one
+    # vertex deletes no edge, and K_r is asked about only when no deletion arrows
+    ranges = {DeletionFamily.PATH: (Path, 2, lambda r: r),
+              DeletionFamily.MATCHING: (Matching, 1, lambda r: r // 2),
+              DeletionFamily.CLIQUE: (Complete, 2, lambda r: r)}
+
+    def scan(family, r, deletions_arrow):
+        asked = []
+
+        def recorder(host, red, blue, budget=None):
+            asked.append(host.adj)
+            complete = host.edge_count == r * (r - 1) // 2
+            verdict = "arrows" if deletions_arrow or complete else "counterexample"
+            return arrowing.ArrowingResult(verdict, None, SearchStats())
+
+        monkeypatch.setattr(arrowing, "arrows", recorder)
+        return critical_number(Star(2), Complete(3), family, r), asked
+
+    for family, (member, first, last) in ranges.items():
+        for r in range(1, 13):
+            hosts = [realize(Minus(Complete(r), member(i))).adj for i in range(first, last(r) + 1)]
+            whole = realize(Complete(r)).adj
+            assert scan(family, r, True) == (last(r) if hosts else 0, hosts or [whole])
+            assert scan(family, r, False) == (0, hosts[:1] + [whole])
 
 
 def test_deletion_monotonicity():
@@ -899,3 +936,12 @@ def test_dimacs_matches_internal_verdict():
         blue = rng.choice(TARGET_POOL)
         _, clauses = oracles.parse_dimacs(export_dimacs(host, red, blue))
         assert oracles.naive_dpll(clauses) == (not arrows(host, red, blue).arrows)
+    # an edgeless target that fits is the empty clause, so the CNF is unsatisfiable
+    for host in (realize(parse_spec("K4\\P3")), realize(Empty(3)), realize(Complete(1))):
+        for edgeless in (Empty(1), Empty(3), Empty(5)):
+            for other in (Complete(3), Empty(2)):
+                text = export_dimacs(host, edgeless, other)
+                fit = [t.n <= host.order for t in (edgeless, other) if isinstance(t, Empty)]
+                assert text.splitlines().count("0") == sum(fit)
+                _, clauses = oracles.parse_dimacs(text)
+                assert oracles.naive_dpll(clauses) == (not arrows(host, edgeless, other).arrows)

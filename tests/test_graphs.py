@@ -76,6 +76,7 @@ _SPEC_ERRORS = [
     ("(K2", "expected ')' at position 3"),
     ("K2)", "unexpected trailing input at position 2"),
     ("K3 u (K2 + ", "expected a graph atom at position 11"),
+    ("K", "expected an integer at position 1"),
 ]
 
 
@@ -295,10 +296,18 @@ def test_graph_invariants_on_construction():
     # re-validating through the public constructor checks symmetry/no-loops
     assert Graph(g.order, g.adj) == g
     assert g.edge_count == sum(g.degree(v) for v in range(g.order)) // 2
-    with pytest.raises(SpecError):
-        Graph(2, (1, 0))  # asymmetric
-    with pytest.raises(SpecError):
-        Graph(1, (1,))  # self-loop
+    with pytest.raises(SpecError, match="asymmetric adjacency between 1 and 0"):
+        Graph(2, (2, 0))
+    with pytest.raises(SpecError, match="self-loop at vertex 0"):
+        Graph(1, (1,))
+    with pytest.raises(SpecError, match="adjacency row count does not match order"):
+        Graph(2, (0,))
+    with pytest.raises(SpecError, match="adjacency bits outside vertex range"):
+        Graph(2, (4, 0))
+    with pytest.raises(SpecError, match=r"edge \(0,5\) outside vertex range"):
+        Graph.from_edges(2, [(0, 5)])
+    with pytest.raises(SpecError, match="self-loop at vertex 1"):
+        Graph.from_edges(2, [(1, 1)])
 
 
 @pytest.mark.parametrize("order", [0, 65])
@@ -348,6 +357,12 @@ def test_graph6_malformed():
         graph6_decode("B")  # truncated body
     with pytest.raises(Graph6Error):
         graph6_decode("B" + chr(127))  # byte out of range
+    with pytest.raises(Graph6Error, match="unsupported or truncated graph6 order header"):
+        graph6_decode("~?")
+    with pytest.raises(Graph6Error, match="malformed graph6 order header"):
+        graph6_decode("~ ??")
+    with pytest.raises(Graph6Error, match=r"graph6 order 0 outside supported range 1\.\.64"):
+        graph6_decode("?")
     # nonzero padding bits: K_2 needs one bit; force a second one
     with pytest.raises(Graph6Error):
         graph6_decode("A" + chr(63 + 0b010000))
